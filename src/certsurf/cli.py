@@ -60,18 +60,6 @@ def _add_run_flags(sp) -> None:
     sp.add_argument("--max-boxes", type=int, help="stop after this many boxes")
     sp.add_argument("--out-json", help="write the cover as line-delimited JSON")
     sp.add_argument("--out-obj", help="write the cover as an OBJ mesh")
-    sp.add_argument(
-        "--deterministic",
-        action="store_true",
-        default=True,
-        help="fixed evaluation order (always on; flag kept for compatibility)",
-    )
-    sp.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; execution is single threaded",
-    )
 
 
 def _build_parser() -> _Parser:
@@ -120,16 +108,8 @@ def _assemble(args, mode: str) -> RunConfig:
         cfg.out_json = args.out_json
     if args.out_obj:
         cfg.out_obj = args.out_obj
-    if args.threads != 1:
-        print("note: --threads is accepted but execution is single threaded")
     cfg.validate()
     return cfg
-
-
-def _domain_box(cfg: RunConfig) -> IntervalBox | None:
-    if cfg.domain is None:
-        return None
-    return IntervalBox([Interval(lo, hi) for lo, hi in cfg.domain])
 
 
 def _cmd_approximate(args) -> int:
@@ -145,7 +125,7 @@ def _cmd_approximate(args) -> int:
             cfg.start,
             cfg.r_initial,
             cfg.rho,
-            domain=_domain_box(cfg),
+            domain=cfg.domain,
             max_boxes=cfg.max_boxes,
         )
         post_process_trim(run)
@@ -173,11 +153,6 @@ def _cmd_graph(args) -> int:
         if cfg.out_obj:
             raise ConfigError("OBJ export is surface mode only")
         d = system.d
-        assert cfg.domain is not None
-        if len(cfg.domain) != system.n:
-            raise ConfigError(
-                f"domain needs {system.n} ranges, got {len(cfg.domain)}"
-            )
         base_bounds = cfg.domain[:d]
         fiber = IntervalBox([Interval(lo, hi) for lo, hi in cfg.domain[d:]])
     except _INPUT_ERRORS as exc:

@@ -110,9 +110,7 @@ class RunConfig:
             raise ConfigError(f"max_boxes must be at least 1, got {self.max_boxes}")
 
     def system(self) -> AnalyticSystem:
-        src = ["variables = " + " ".join(self.variables)]
-        src.extend(f"{eq} = 0" for eq in self.equations)
-        return AnalyticSystem.from_source("\n".join(src) + "\n")
+        return AnalyticSystem.from_equations(self.variables, self.equations)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CertificationError, IntervalDomainError, LinearAlgebraError
 from .expr import to_source
+from .graph_cover import sheet_measures
 from .intervals import Interval, IntervalBox
 from .krawczyk import krawczyk_test
 from .linalg import approx_inverse
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+# halving a float range more often than this leaves no float between its ends
+_MAX_DEPTH = 2100
 
 _CHECK_ERRORS = (
     CertificationError,
@@ -50,12 +54,6 @@ def _system_fields(system) -> dict:
         "variables": names,
         "equations": [to_source(e, names) for e in system.equations],
     }
-
-
-def _system_from_header(header: dict) -> AnalyticSystem:
-    lines = ["variables = " + " ".join(header["variables"])]
-    lines.extend(f"{eq} = 0" for eq in header["equations"])
-    return AnalyticSystem.from_source("\n".join(lines) + "\n")
 
 
 def _cert_fields(cert) -> dict:
@@ -165,58 +163,89 @@ class VerifyReport:
         return f"{status}: {self.checked} records checked, {len(self.failures)} failures"
 
 
-def _verify_patch(system, rec: dict) -> list[str]:
+def _patch_test(system, rho: float, rec: dict):
+    """Re-run a patch record's test; returns (result, claimed fiber radius)."""
+    v = np.asarray(rec["frame_v"], dtype=float)
+    u = np.asarray(rec["frame_u"], dtype=float)
+    r = float(rec["r"])
+    gsys = system.transform(u, v, shift=[float(c) for c in rec["center"]])
+    d, m = system.d, system.m
+    a = approx_inverse(np.asarray(gsys.jacobian_point([0.0] * system.n))[:, d:])
+    base = IntervalBox([Interval(-r, r) for _ in range(d)])
+    return krawczyk_test(gsys, base, [0.0] * m, r, a, rho), float(rec["r_fiber"])
+
+
+def _cell_test(system, rho: float, rec: dict):
+    """Re-run a cell record's test; returns (result, claimed fiber enclosure)."""
+    base = IntervalBox([Interval(lo, hi) for lo, hi in rec["bounds"]])
+    y = [float(c) for c in rec["fiber_center"]]
+    r2 = float(rec["fiber_radius"])
+    center = base.midpoint()
+    a = approx_inverse(np.asarray(system.jacobian_point(list(center) + y))[:, system.d :])
+    return krawczyk_test(system, base, y, r2, a, rho), float(rec["fiber_enclosure"])
+
+
+def _verify_record(system, header: dict, rec: dict) -> list[str]:
     problems: list[str] = []
-    label = f"patch {rec.get('id', '?')}"
+    kind = rec["record"]
+    label = f"{kind} {rec.get('id', '?')}"
     stored = rec["certificate"]
     if not float(stored["margin"]) > 0.0:
         problems.append(f"{label}: stored margin is not positive")
     try:
-        v = np.asarray(rec["frame_v"], dtype=float)
-        u = np.asarray(rec["frame_u"], dtype=float)
-        r = float(rec["r"])
-        rho = float(rec["rho"])
-        gsys = system.transform(u, v, shift=[float(c) for c in rec["center"]])
-        d, m = system.d, system.m
-        a = approx_inverse(np.asarray(gsys.jacobian_point([0.0] * system.n))[:, d:])
-        base = IntervalBox([Interval(-r, r) for _ in range(d)])
-        res = krawczyk_test(gsys, base, [0.0] * m, r, a, rho)
+        rho = float(header["rho"])
+        if kind == "patch" and float(rec["rho"]) != rho:
+            problems.append(f"{label}: rho {rec['rho']} differs from the header's {rho}")
+        res, claimed = (_patch_test if kind == "patch" else _cell_test)(system, rho, rec)
     except _CHECK_ERRORS as exc:
         problems.append(f"{label}: re-check could not run ({exc})")
         return problems
     if not res.passed:
         problems.append(f"{label}: contraction test fails on re-run")
-    elif not float(rec["r_fiber"]) >= res.norm_k:
-        # the slab claim needs the fiber half-width to cover the proven
+    elif not claimed >= res.norm_k:
+        # the stored slab half-width or cell enclosure must cover the proven
         # enclosure of the sheet around the center
-        problems.append(f"{label}: stored fiber radius is below the proven bound")
+        problems.append(f"{label}: stored enclosure is below the proven bound")
     return problems
 
 
-def _verify_cell(system, header: dict, rec: dict) -> list[str]:
-    problems: list[str] = []
-    label = f"cell {rec.get('id', '?')}"
-    stored = rec["certificate"]
-    if not float(stored["margin"]) > 0.0:
-        problems.append(f"{label}: stored margin is not positive")
+def _verify_tiling(header: dict, cells: list[dict], d: int) -> list[str]:
+    """Check that the cells of each claimed sheet tile ``base_bounds``.
+
+    Every cell must lie inside the base rectangle and name one of the
+    header's sheets, and each sheet's dyadic measure must be exactly 1.
+    """
+    sheets = header.get("sheets")
+    if type(sheets) is not int or not 1 <= sheets <= len(cells):
+        return [f"header claims {sheets!r} sheets for {len(cells)} cells"]
     try:
-        base = IntervalBox([Interval(lo, hi) for lo, hi in rec["bounds"]])
-        y = [float(c) for c in rec["fiber_center"]]
-        r2 = float(rec["fiber_radius"])
-        rho = float(header["rho"])
-        center = base.midpoint()
-        d = system.d
-        a = approx_inverse(
-            np.asarray(system.jacobian_point(list(center) + y))[:, d:]
-        )
-        res = krawczyk_test(system, base, y, r2, a, rho)
-    except _CHECK_ERRORS as exc:
-        problems.append(f"{label}: re-check could not run ({exc})")
-        return problems
-    if not res.passed:
-        problems.append(f"{label}: contraction test fails on re-run")
-    elif not float(rec["fiber_enclosure"]) >= res.norm_k:
-        problems.append(f"{label}: stored enclosure is below the proven bound")
+        base = [(float(lo), float(hi)) for lo, hi in header["base_bounds"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"header base_bounds unreadable ({exc})"]
+    if len(base) != d:
+        return [f"header base_bounds has {len(base)} ranges, expected {d}"]
+    problems: list[str] = []
+    labels = []
+    for rec in cells:
+        label = f"cell {rec.get('id', '?')}"
+        try:
+            bounds = [(float(lo), float(hi)) for lo, hi in rec["bounds"]]
+        except (KeyError, TypeError, ValueError):
+            bounds = []
+        if len(bounds) != d or not all(
+            blo <= lo < hi <= bhi for (lo, hi), (blo, bhi) in zip(bounds, base)
+        ):
+            problems.append(f"{label}: bounds do not lie inside base_bounds")
+        sheet, depth = rec.get("sheet"), rec.get("depth")
+        if type(sheet) is not int or not 0 <= sheet < sheets:
+            problems.append(f"{label}: sheet {sheet!r} is not one of {sheets}")
+        elif type(depth) is not int or not 0 <= depth <= _MAX_DEPTH:
+            problems.append(f"{label}: depth {depth!r} is out of range")
+        else:
+            labels.append((sheet, depth))
+    for k, measure in enumerate(sheet_measures(labels, sheets, d)):
+        if measure != 1:
+            problems.append(f"sheet {k} covers {measure} of base_bounds, not all of it")
     return problems
 
 
@@ -225,14 +254,16 @@ def verify_jsonl(path) -> VerifyReport:
 
     Nothing from the stored certificates is trusted: the system is parsed
     back from the header, the contraction test is repeated with the stored
-    frame or bounds, and each record must both pass afresh and have claimed
-    no more than the fresh run proves.  Raises for files whose header
-    cannot be read at all; record-level problems land in the report.
+    frame or bounds and the header's rho, and each record must both pass
+    afresh and have claimed no more than the fresh run proves.  A graph
+    file must also tile its base rectangle once per claimed sheet.  Raises
+    for files whose header cannot be read at all; record-level problems
+    land in the report.
     """
     failures: list[str] = []
     header, records = read_jsonl(path)
     try:
-        system = _system_from_header(header)
+        system = AnalyticSystem.from_equations(header["variables"], header["equations"])
     except KeyError as exc:
         raise ValueError(f"{path}: header is missing field {exc}") from exc
     mode = header.get("mode")
@@ -247,10 +278,10 @@ def verify_jsonl(path) -> VerifyReport:
         if rec.get("record") != expected:
             failures.append(f"unexpected record type {rec.get('record')!r}")
             continue
-        if mode == "surface":
-            failures.extend(_verify_patch(system, rec))
-        else:
-            failures.extend(_verify_cell(system, header, rec))
+        failures.extend(_verify_record(system, header, rec))
+    if mode == "graph":
+        cells = [rec for rec in records if rec.get("record") == "cell"]
+        failures.extend(_verify_tiling(header, cells, system.d))
     return VerifyReport(ok=not failures, checked=len(records), failures=failures)
 
 

@@ -15,7 +15,7 @@ import math
 from typing import Sequence
 
 from .errors import IntervalDomainError
-from .intervals import EMPTY, Interval, IntervalBox
+from .intervals import Interval, exact_product
 
 
 class Expr:
@@ -348,15 +348,6 @@ def _exact_sum(a: float, b: float) -> float | None:
     return s if err == 0.0 else None
 
 
-def _exact_product(a: float, b: float) -> float | None:
-    p = a * b
-    if p != p or math.isinf(p):
-        return None
-    from .intervals import _mul_is_exact  # shared exactness predicate
-
-    return p if _mul_is_exact(a, b, p) else None
-
-
 def add(a: Expr, b: Expr) -> Expr:
     ca, cb = _const_val(a), _const_val(b)
     if ca == 0.0:
@@ -405,7 +396,7 @@ def mul(a: Expr, b: Expr) -> Expr:
     if cb == -1.0:
         return neg(a)
     if ca is not None and cb is not None:
-        p = _exact_product(ca, cb)
+        p = exact_product(ca, cb)
         if p is not None:
             return Const(p)
     return Mul(a, b)
@@ -423,7 +414,7 @@ def div(a: Expr, b: Expr) -> Expr:
 def square(a: Expr) -> Expr:
     c = _const_val(a)
     if c is not None:
-        p = _exact_product(c, c)
+        p = exact_product(c, c)
         if p is not None:
             return Const(p)
     return Square(a)
@@ -439,17 +430,8 @@ def power(a: Expr, k: int) -> Expr:
     return Pow(a, k)
 
 
-def sqrt_of(a: Expr) -> Expr:
-    return Sqrt(a)
-
-
 # ---------------------------------------------------------------------------
-# evaluation helpers and printing
-
-
-def eval_box(e: Expr, box: IntervalBox) -> Interval:
-    v = e.eval_interval(box.parts)
-    return EMPTY if box.is_empty else v
+# printing
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4, "atom": 5}

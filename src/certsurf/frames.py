@@ -4,8 +4,13 @@ A frame at a point z is an orthogonal matrix V whose first d columns span
 the (approximate) tangent plane of the zero set and whose last m columns
 span the row space of the Jacobian, plus the matching equation mixer U.
 Frames are float data chosen heuristically; every rigorous statement made
-in frame coordinates goes through the interval enclosure of V^{-1} so the
-rounding in V itself is accounted for.
+in frame coordinates goes through interval enclosures of V and V^{-1}, so
+the rounding in V itself is accounted for.
+
+The frame and box methods here are the only place where the local <-> world
+map is enclosed (``TransformedSystem`` evaluates through ``image_box`` too),
+and ``within`` is the one test that a local box lies inside given radii.
+Frames and boxes enclose V and V^{-1} once, when built, and keep both.
 """
 
 from __future__ import annotations
@@ -14,16 +19,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intervals import Interval, IntervalBox, IntervalMatrix
+from .intervals import Interval, IntervalBox, IntervalMatrix, add_up
 from .linalg import orthogonal_inverse_enclosure, svd_factor
 
 __all__ = [
     "CoordinateFrame",
     "OrientedBox",
+    "image_box",
+    "within",
     "tangent_align",
     "obox_contains",
     "obox_disjoint",
 ]
+
+
+def image_box(center, iv: IntervalMatrix, local_box: IntervalBox) -> IntervalBox:
+    """Enclosure of {center + V z : z in local_box}, with V enclosed by ``iv``."""
+    spread = iv.matvec(local_box)
+    return IntervalBox([Interval.point(c) + s for c, s in zip(center, spread.parts)])
+
+
+def _local_image(center, v_inv: IntervalMatrix, world_box: IntervalBox) -> IntervalBox:
+    """Enclosure of {V^{-1} (w - center) : w in world_box}."""
+    return v_inv.matvec(world_box.sub_point(center))
+
+
+def within(local: IntervalBox, radii, axes=None) -> bool:
+    """True only if each listed coordinate of ``local`` lies in [-r, r].
+
+    ``axes`` restricts the check to the listed coordinates (all by default).
+    """
+    for i in range(len(radii)) if axes is None else axes:
+        p = local.parts[i]
+        r = radii[i]
+        if not (-r <= p.lo and p.hi <= r):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -35,6 +66,7 @@ class CoordinateFrame:
     u: np.ndarray
     sigma: tuple
     v_inv: IntervalMatrix
+    iv: IntervalMatrix  # interval enclosure of the float matrix V
 
     @property
     def n(self) -> int:
@@ -47,10 +79,33 @@ class CoordinateFrame:
     def to_world(self, z) -> np.ndarray:
         return np.asarray(self.center) + self.v @ np.asarray(z, dtype=float)
 
+    def to_world_box(self, local_box: IntervalBox) -> IntervalBox:
+        """Rigorous enclosure of center + V z over the given local box."""
+        return image_box(self.center, self.iv, local_box)
+
     def world_to_local_box(self, world_box: IntervalBox) -> IntervalBox:
         """Rigorous enclosure of V^{-1} (w - center) over the given box."""
-        delta = world_box.sub_point(self.center)
-        return self.v_inv.matvec(delta)
+        return _local_image(self.center, self.v_inv, world_box)
+
+    def box(self, radii) -> "OrientedBox":
+        """Oriented box of the given per-axis radii around the frame center."""
+        return OrientedBox._build(self.center, self.v, radii, self.v_inv, self.iv)
+
+    def box_at(self, local_center, radii) -> "OrientedBox":
+        """Oriented box at a frame-local center, float rounding absorbed.
+
+        The world center is rounded to floats; the radii grow by a rigorous
+        bound on that rounding displacement so the box still covers the
+        exact region.
+        """
+        exact = self.to_world_box(IntervalBox.point(local_center))
+        center = exact.midpoint()
+        margin = 0.0
+        for c, p in zip(center, exact.parts):
+            margin = max(margin, add_up(p.hi, -c), add_up(c, -p.lo))
+        return OrientedBox._build(
+            center, self.v, [add_up(float(r), margin) for r in radii], self.v_inv, self.iv
+        )
 
 
 def tangent_align(system, z_hat) -> tuple[CoordinateFrame, "object"]:
@@ -58,7 +113,8 @@ def tangent_align(system, z_hat) -> tuple[CoordinateFrame, "object"]:
 
     The returned system G(z) = U^T F(z_hat + V z) has, at z = 0, a Jacobian
     of the form [0 | diag(sigma)] up to float noise: base directions first,
-    fiber directions carrying the singular values.
+    fiber directions carrying the singular values.  The frame shares the
+    system's interval enclosure of V.
     """
     z_hat = [float(x) for x in z_hat]
     jac = system.jacobian_point(z_hat)
@@ -66,19 +122,22 @@ def tangent_align(system, z_hat) -> tuple[CoordinateFrame, "object"]:
     m = system.m
     # kernel columns (tangent) first, then row-space columns
     v = np.hstack([vt[m:].T, vt[:m].T])
+    v_inv = orthogonal_inverse_enclosure(v)
+    aligned = system.transform(u, v, shift=z_hat)
     frame = CoordinateFrame(
         center=tuple(z_hat),
         v=v,
         u=u,
         sigma=tuple(float(s) for s in sigma),
-        v_inv=orthogonal_inverse_enclosure(v),
+        v_inv=v_inv,
+        iv=aligned.iv,
     )
-    return frame, system.transform(u, v, shift=z_hat)
+    return frame, aligned
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class OrientedBox:
-    """World-space box {center + V z : |z_i| <= radii_i} with cached V^{-1}.
+    """World-space box {center + V z : |z_i| <= radii_i} with cached V, V^{-1}.
 
     Radii are per-axis, ordered like the frame columns (base axes first).
     """
@@ -87,24 +146,32 @@ class OrientedBox:
     v: np.ndarray
     radii: tuple
     v_inv: IntervalMatrix = field(repr=False)
+    iv: IntervalMatrix = field(repr=False)
     # rigorous axis-aligned hull, ((lo, hi), ...), for fast disjointness
     aabb: tuple = field(repr=False)
 
     @staticmethod
-    def make(center, v, radii, v_inv: IntervalMatrix | None = None) -> "OrientedBox":
+    def make(center, v, radii) -> "OrientedBox":
+        """Box in a float frame matrix V; encloses V and V^{-1} afresh."""
         v = np.asarray(v, dtype=float)
-        if v_inv is None:
-            v_inv = orthogonal_inverse_enclosure(v)
+        return OrientedBox._build(
+            center, v, radii, orthogonal_inverse_enclosure(v), IntervalMatrix.from_floats(v)
+        )
+
+    @staticmethod
+    def _build(center, v, radii, v_inv: IntervalMatrix, iv: IntervalMatrix) -> "OrientedBox":
+        """Box whose frame enclosures V^{-1} and V are already at hand."""
         center = tuple(float(c) for c in center)
         radii = tuple(float(r) for r in radii)
         local = IntervalBox([Interval(-r, r) for r in radii])
-        spread = IntervalMatrix.from_floats(v).matvec(local)
-        aabb = tuple(
-            ((Interval.point(c) + s).lo, (Interval.point(c) + s).hi)
-            for c, s in zip(center, spread.parts)
-        )
+        hull = image_box(center, iv, local)
         return OrientedBox(
-            center=center, v=v, radii=radii, v_inv=v_inv, aabb=aabb
+            center=center,
+            v=v,
+            radii=radii,
+            v_inv=v_inv,
+            iv=iv,
+            aabb=tuple((p.lo, p.hi) for p in hull.parts),
         )
 
     @property
@@ -115,61 +182,34 @@ class OrientedBox:
         return IntervalBox([Interval(-r, r) for r in self.radii])
 
     def world_hull(self) -> IntervalBox:
-        spread = IntervalMatrix.from_floats(self.v).matvec(self.local_box())
-        return IntervalBox(
-            [Interval.point(c) + s for c, s in zip(self.center, spread.parts)]
-        )
-
-    def local_coords_enclosure(self, world_point) -> IntervalBox:
-        delta = IntervalBox.point(world_point).sub_point(self.center)
-        return self.v_inv.matvec(delta)
-
-    def contains_world_point(self, world_point) -> bool:
-        """True only if the point is provably inside (conservative)."""
-        local = self.local_coords_enclosure(world_point)
-        return all(
-            -r <= p.lo and p.hi <= r for r, p in zip(self.radii, local.parts)
-        )
+        return IntervalBox([Interval(lo, hi) for lo, hi in self.aabb])
 
 
 def _inner_local_image(outer: OrientedBox, inner: OrientedBox) -> IntervalBox:
     """Enclosure of inner's region expressed in outer's local coordinates."""
-    mixed = outer.v_inv.matmul(IntervalMatrix.from_floats(inner.v))
+    mixed = outer.v_inv.matmul(inner.iv)
     spread = mixed.matvec(inner.local_box())
-    shifted = IntervalBox.point(inner.center).sub_point(outer.center)
-    offset = outer.v_inv.matvec(shifted)
+    offset = _local_image(outer.center, outer.v_inv, IntervalBox.point(inner.center))
     return IntervalBox([o + s for o, s in zip(offset.parts, spread.parts)])
 
 
 def obox_contains(
     outer: OrientedBox,
     inner: OrientedBox,
-    skip_axis: int | None = None,
     axes: tuple[int, ...] | None = None,
 ) -> bool:
     """True only if inner is provably a subset of outer.
 
-    ``skip_axis`` exempts one outer coordinate from the check (used when a
-    plane constraint pins that coordinate separately); ``axes`` restricts
-    the check to the listed outer coordinates.
+    ``axes`` restricts the check to the listed outer coordinates.
     """
-    image = _inner_local_image(outer, inner)
-    idx = range(outer.n) if axes is None else axes
-    for i in idx:
-        if i == skip_axis:
-            continue
-        p = image.parts[i]
-        r = outer.radii[i]
-        if not (-r <= p.lo and p.hi <= r):
-            return False
-    return True
+    return within(_inner_local_image(outer, inner), outer.radii, axes)
 
 
 def _axis_projection(w: np.ndarray, box: OrientedBox) -> Interval:
     """Rigorous interval enclosing {w . x : x in box}."""
     iw = IntervalMatrix.from_floats([w])
     center = iw.matvec(IntervalBox.point(box.center)).parts[0]
-    coeffs = iw.matmul(IntervalMatrix.from_floats(box.v)).rows[0]
+    coeffs = iw.matmul(box.iv).rows[0]
     total = center
     for c, r in zip(coeffs, box.radii):
         total = total + c * Interval(-r, r)

@@ -28,7 +28,7 @@ from .intervals import Interval, IntervalBox
 from .krawczyk import KrawczykResult, krawczyk_test, refine_fiber_root
 from .linalg import approx_inverse
 
-__all__ = ["GraphCell", "GraphCover", "cover_graph", "isolate_fiber_roots"]
+__all__ = ["GraphCell", "GraphCover", "cover_graph", "isolate_fiber_roots", "sheet_measures"]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -73,14 +73,25 @@ class GraphCover:
     def sheet_cells(self, k: int) -> list:
         return [c for c in self.cells if c.sheet == k]
 
-    def area_fraction(self) -> Fraction:
-        """Sum of 4^-depth over one sheet; exactly 1 for a full partition."""
-        if not self.cells:
-            return Fraction(0)
-        per_sheet = self.sheet_cells(self.cells[0].sheet)
-        return sum(
-            (Fraction(1, (1 << (2 * c.depth))) for c in per_sheet), Fraction(0)
+    def area_fraction(self) -> tuple[Fraction, ...]:
+        """Measure of each sheet's cells; exactly 1 where they tile the base."""
+        return sheet_measures(
+            [(c.sheet, c.depth) for c in self.cells], self.sheets, len(self.base_bounds)
         )
+
+
+def sheet_measures(labels, sheets: int, d: int) -> tuple[Fraction, ...]:
+    """Exact share of the base rectangle held by each sheet's cells.
+
+    ``labels`` lists (sheet, depth) per cell.  A depth-k cell of a dyadic
+    d-dimensional tiling holds 2^(-d k) of the rectangle, so the sums are
+    integers over the common denominator 2^(d * deepest).
+    """
+    top = max((depth for _, depth in labels), default=0)
+    nums = [0] * sheets
+    for sheet, depth in labels:
+        nums[sheet] += 1 << (d * (top - depth))
+    return tuple(Fraction(num, 1 << (d * top)) for num in nums)
 
 
 def isolate_fiber_roots(

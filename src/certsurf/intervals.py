@@ -103,6 +103,14 @@ def _mul_is_exact(a: float, b: float, p: float) -> bool:
     return False
 
 
+def exact_product(a: float, b: float) -> float | None:
+    """a * b when the float product is finite and exact, else None."""
+    p = a * b
+    if p != p or math.isinf(p):
+        return None
+    return p if _mul_is_exact(a, b, p) else None
+
+
 # mul_up/mul_down lay out the ordinary finite-product case first; the
 # decision table is identical to _mul_is_exact, which stays as the oracle
 # the property tests compare against.
@@ -323,11 +331,6 @@ class Interval:
             m = self.lo + 0.5 * (self.hi - self.lo)
         return min(max(m, self.lo), self.hi)
 
-    def width_up(self) -> float:
-        if self.is_empty:
-            return 0.0
-        return sub_up(self.hi, self.lo)
-
     def radius_up(self) -> float:
         if self.is_empty:
             return 0.0
@@ -446,9 +449,6 @@ class Interval:
         if self.lo < 0.0:
             raise IntervalDomainError(f"sqrt of interval reaching below zero: {self}")
         return Interval(sqrt_down(self.lo), sqrt_up(self.hi))
-
-    def square(self) -> "Interval":
-        return self.power(2)
 
     def power(self, k: int) -> "Interval":
         """Tight monomial x**k over the interval (even powers land in [0, inf))."""
@@ -636,9 +636,6 @@ class IntervalMatrix:
         i, j = idx
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple[Interval, ...]:
-        return self.rows[i]
-
     def transpose(self) -> "IntervalMatrix":
         m, n = self.shape
         return IntervalMatrix([[self.rows[i][j] for i in range(m)] for j in range(n)])
@@ -704,16 +701,6 @@ class IntervalMatrix:
             out.append(out_row)
         return IntervalMatrix(out)
 
-    def __matmul__(self, other):
-        if isinstance(other, IntervalMatrix):
-            return self.matmul(other)
-        if isinstance(other, IntervalBox):
-            return self.matvec(other)
-        return NotImplemented
-
-    def mag_rows(self) -> list[list[float]]:
-        return [[a.mag() for a in row] for row in self.rows]
-
     def norm_inf_up(self) -> float:
         """Upper bound on the max absolute row sum over all point matrices inside."""
         worst = 0.0
@@ -726,11 +713,3 @@ class IntervalMatrix:
 
     def __repr__(self):
         return "IntervalMatrix(%s)" % (self.rows,)
-
-
-def dot_up_mag(row: Sequence[Interval], radii: Sequence[float]) -> float:
-    """Upper bound on sum_i mag(row_i) * radii_i (all radii nonnegative)."""
-    s = 0.0
-    for a, r in zip(row, radii):
-        s = add_up(s, mul_up(a.mag(), r))
-    return s

@@ -17,18 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificationError, RefinementStalledError
-from .intervals import (
-    Interval,
-    IntervalBox,
-    IntervalMatrix,
-    add_up,
-    div_up,
-    mul_down,
-    sub_down,
-)
+from .intervals import Interval, IntervalBox, IntervalMatrix, mul_down, sub_down
 from .linalg import approx_inverse
 
-__all__ = ["KrawczykResult", "krawczyk_test", "refine_fiber_root", "graph_lipschitz"]
+__all__ = ["KrawczykResult", "krawczyk_test", "refine_fiber_root"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,10 +111,6 @@ def _slice_value_enclosure(
 # single-slice refinement
 
 
-def _slice_point_box(base_point: Sequence[float], fiber: IntervalBox) -> IntervalBox:
-    return IntervalBox.point(base_point).concat(fiber)
-
-
 def refine_fiber_root(
     system,
     base_point: Sequence[float],
@@ -157,7 +145,7 @@ def refine_fiber_root(
             np.asarray(system.jacobian_point(base_point + center))[:, system.d :]
         )
         ia = IntervalMatrix.from_floats(a)
-        fval = system.eval_box(_slice_point_box(base_point, IntervalBox.point(center)))
+        fval = system.eval_box(IntervalBox.point(base_point + center))
         newton = ia.matvec(fval)
         jsub = system.jacobian_sub_box(IntervalBox.point(base_point), current)
         mid = IntervalMatrix.identity(m) - ia.matmul(jsub)
@@ -191,33 +179,3 @@ def refine_fiber_root(
             f"fiber enclosure stalled at radius {max(current.radii_up()):.3e}"
         )
     raise RefinementStalledError("could not establish a fiber root in the bracket")
-
-
-# ---------------------------------------------------------------------------
-# implicit-graph slope bound
-
-
-def graph_lipschitz(
-    system,
-    base_box: IntervalBox,
-    fiber_box: IntervalBox,
-    a: np.ndarray,
-) -> float:
-    """Upper bound on the inf-norm slope of the implicit fiber graph.
-
-    Over base_box x fiber_box the implicit function y(x) satisfies
-    dy/dx = -Jy^{-1} Jx, and with A approximately inverting Jy,
-    |Jy^{-1} Jx| <= |A Jx| / (1 - |Id - A Jy|) whenever the denominator
-    defect stays below one.  All norms are inf-norms rounded up.
-    """
-    ia = IntervalMatrix.from_floats(a)
-    num = ia.matmul(system.jacobian_base_box(base_box, fiber_box)).norm_inf_up()
-    defect = (
-        IntervalMatrix.identity(system.m)
-        - ia.matmul(system.jacobian_sub_box(base_box, fiber_box))
-    ).norm_inf_up()
-    if not defect < 1.0:
-        raise CertificationError(
-            f"fiber Jacobian not dominated (defect {defect:.3e}); box too large"
-        )
-    return div_up(num, -add_up(defect, -1.0))

@@ -21,9 +21,9 @@ from .errors import (
     LinearAlgebraError,
     RefinementStalledError,
 )
-from .frames import CoordinateFrame, OrientedBox, obox_disjoint, tangent_align
+from .frames import CoordinateFrame, OrientedBox, obox_disjoint, tangent_align, within
 from .graph_cover import cover_graph
-from .intervals import Interval, IntervalBox, IntervalMatrix, add_up, mul_up
+from .intervals import Interval, IntervalBox, mul_up
 from .krawczyk import KrawczykResult, krawczyk_test, refine_fiber_root
 from .linalg import approx_inverse
 
@@ -63,23 +63,35 @@ class CertifiedPatch:
     def m(self) -> int:
         return self.n - self.d
 
+    @property
+    def slab_radii(self) -> tuple:
+        return (self.r,) * self.d + (self.r_fiber,) * self.m
+
     def enclosure_box(self) -> OrientedBox:
         """Thin slab provably containing the sheet over the base square."""
-        return OrientedBox.make(
-            self.frame.center,
-            self.frame.v,
-            (self.r,) * self.d + (self.r_fiber,) * self.m,
-            v_inv=self.frame.v_inv,
-        )
+        return self.frame.box(self.slab_radii)
 
     def uniqueness_box(self) -> OrientedBox:
         """Full box in which the sheet is the only solution per base point."""
-        return OrientedBox.make(
-            self.frame.center,
-            self.frame.v,
-            (self.r,) * (self.d + self.m),
-            v_inv=self.frame.v_inv,
+        return self.frame.box((self.r,) * (self.d + self.m))
+
+    def sheet_point(self, base_point, bracket: float, accuracy: float) -> IntervalBox:
+        """World box enclosing the sheet point above a frame base point.
+
+        Certifies the fiber root within [-bracket, bracket]^m to the given
+        accuracy; raises what ``refine_fiber_root`` raises when it cannot.
+        """
+        _, encl = refine_fiber_root(
+            self.aligned,
+            base_point,
+            IntervalBox([Interval(-bracket, bracket)] * self.m),
+            accuracy,
         )
+        return self.frame.to_world_box(IntervalBox.point(base_point).concat(encl))
+
+    def slab_holds(self, world_box: IntervalBox) -> bool:
+        """True only if the world box provably lies inside the slab."""
+        return within(self.frame.world_to_local_box(world_box), self.slab_radii)
 
 
 def newton_polish(
@@ -159,11 +171,7 @@ def certify_box(
 # same-sheet and disjointness predicates
 
 
-def _world_point_box(frame: CoordinateFrame, local_box: IntervalBox) -> IntervalBox:
-    spread = IntervalMatrix.from_floats(frame.v).matvec(local_box)
-    return IntervalBox(
-        [Interval.point(c) + s for c, s in zip(frame.center, spread.parts)]
-    )
+_PROBE_ERRORS = (RefinementStalledError, LinearAlgebraError, CertificationError)
 
 
 def _base_overlap_in(a: CertifiedPatch, b: CertifiedPatch) -> list[Interval] | None:
@@ -202,20 +210,12 @@ def inclusion_test(a: CertifiedPatch, b: CertifiedPatch) -> bool:
     midpoint = [piece.midpoint() for piece in overlap]
     probes = [projected] if projected == midpoint else [projected, midpoint]
     accuracy = max(b.r_fiber * b.r_fiber, 1e-14 * max(1.0, b.r))
-    bounds = (b.r,) * b.d + (b.r_fiber,) * b.m
     for x_hat in probes:
         try:
-            _, encl = refine_fiber_root(
-                a.aligned,
-                x_hat,
-                IntervalBox([Interval(-a.r_fiber, a.r_fiber)] * a.m),
-                accuracy,
-            )
-        except (RefinementStalledError, LinearAlgebraError, CertificationError):
+            world = a.sheet_point(x_hat, a.r_fiber, accuracy)
+        except _PROBE_ERRORS:
             continue
-        world = _world_point_box(a.frame, IntervalBox.point(x_hat).concat(encl))
-        local_b = b.frame.world_to_local_box(world)
-        if all(-r <= p.lo and p.hi <= r for p, r in zip(local_b.parts, bounds)):
+        if b.slab_holds(world):
             return True
     return False
 
@@ -273,7 +273,7 @@ def _split_piece(patch: CertifiedPatch, piece: SlabPiece) -> list[SlabPiece] | N
         radii = list(cell.half_widths) + [cell.fiber_enclosure] * patch.m
         out.append(
             SlabPiece(
-                box=_local_obox_to_world(patch.frame, local_center, radii),
+                box=patch.frame.box_at(local_center, radii),
                 rect=cell.bounds,
                 fiber_center=cell.fiber_center,
             )
@@ -281,46 +281,17 @@ def _split_piece(patch: CertifiedPatch, piece: SlabPiece) -> list[SlabPiece] | N
     return out
 
 
-def _local_obox_to_world(
-    frame: CoordinateFrame, local_center, radii
-) -> OrientedBox:
-    """Oriented box at a frame-local center, float rounding absorbed.
-
-    The world center is rounded to floats; the radii grow by a rigorous
-    bound on that rounding displacement so the box still covers the exact
-    region.
-    """
-    exact = _world_point_box(frame, IntervalBox.point(local_center))
-    center = exact.midpoint()
-    margin = 0.0
-    for c, p in zip(center, exact.parts):
-        margin = max(margin, add_up(p.hi, -c), add_up(c, -p.lo))
-    return OrientedBox.make(
-        center,
-        frame.v,
-        [add_up(float(r), margin) for r in radii],
-        v_inv=frame.v_inv,
-    )
-
-
 def _witness_shared_point(
     src: CertifiedPatch, dst: CertifiedPatch, piece: SlabPiece
 ) -> bool:
     """Certify a sheet point of src above a piece center inside dst's slab."""
     x_hat = [Interval(lo, hi).midpoint() for lo, hi in piece.rect]
+    accuracy = max(dst.r_fiber * dst.r_fiber, 1e-14 * max(1.0, dst.r))
     try:
-        _, encl = refine_fiber_root(
-            src.aligned,
-            x_hat,
-            IntervalBox([Interval(-src.r, src.r)] * src.m),
-            max(dst.r_fiber * dst.r_fiber, 1e-14 * max(1.0, dst.r)),
-        )
-    except (RefinementStalledError, LinearAlgebraError, CertificationError):
+        world = src.sheet_point(x_hat, src.r, accuracy)
+    except _PROBE_ERRORS:
         return False
-    world = _world_point_box(src.frame, IntervalBox.point(x_hat).concat(encl))
-    local = dst.frame.world_to_local_box(world)
-    bounds = (dst.r,) * dst.d + (dst.r_fiber,) * dst.m
-    return all(-r <= p.lo and p.hi <= r for p, r in zip(local.parts, bounds))
+    return dst.slab_holds(world)
 
 
 _MAX_PIECES = 20_000

@@ -25,8 +25,7 @@ from .errors import (
 )
 from .frames import OrientedBox, obox_contains, obox_disjoint
 from .intervals import Interval, IntervalBox
-from .krawczyk import refine_fiber_root
-from .patching import CertifiedPatch, _world_point_box, certify_box, component_test
+from .patching import CertifiedPatch, certify_box, component_test
 from .system import AnalyticSystem, linear_form
 
 __all__ = [
@@ -57,12 +56,11 @@ class EdgeCoverage:
     (axis, side): the edge where base coordinate ``axis`` is pinned to
     ``side * r``.  Per edge we keep a sorted list of disjoint closed
     intervals [lo, hi] of the running coordinate that are still uncovered.
-    Portions clipped away because they provably leave the query domain are
-    recorded separately so the three kinds of boundary (covered, uncovered,
-    outside the domain) always account for the whole square.
+    Covered portions and portions that provably leave the query domain are
+    both struck from it.
     """
 
-    __slots__ = ("r", "floor", "edges", "clipped")
+    __slots__ = ("r", "floor", "edges")
 
     def __init__(self, r: float):
         self.r = float(r)
@@ -72,15 +70,9 @@ class EdgeCoverage:
             for axis in range(2)
             for side in (-1, 1)
         }
-        self.clipped: dict[tuple[int, int], list[tuple[float, float]]] = {
-            key: [] for key in self.edges
-        }
 
     def is_done(self) -> bool:
         return all(not pieces for pieces in self.edges.values())
-
-    def uncovered_length(self) -> float:
-        return sum(hi - lo for pieces in self.edges.values() for lo, hi in pieces)
 
     def intervals(self, axis: int, side: int) -> list[tuple[float, float]]:
         return list(self.edges[(axis, side)])
@@ -96,7 +88,7 @@ class EdgeCoverage:
                     best = (axis, side, lo, hi)
         return best
 
-    def subtract(self, axis: int, side: int, lo: float, hi: float, *, clip: bool = False) -> float:
+    def subtract(self, axis: int, side: int, lo: float, hi: float) -> float:
         """Remove [lo, hi] from the edge's uncovered set; returns length removed."""
         if not hi > lo:
             return 0.0
@@ -110,8 +102,6 @@ class EdgeCoverage:
             cut_lo = max(a, lo)
             cut_hi = min(b, hi)
             removed += cut_hi - cut_lo
-            if clip:
-                self.clipped[key].append((cut_lo, cut_hi))
             if cut_lo - a > self.floor:
                 kept.append((a, cut_lo))
             if b - cut_hi > self.floor:
@@ -286,20 +276,13 @@ def _covered_interval(
     value strictly between them is hit by the curve (intermediate value
     theorem on the continuous projection), so the inner gap is covered.
     """
+    accuracy = max(e_patch.r_fiber**2, 1e-14 * max(1.0, e_patch.r))
     ends = []
     for s in (-1.0, 1.0):
         try:
-            _, encl = refine_fiber_root(
-                e_patch.aligned,
-                [s * e_patch.r],
-                IntervalBox([Interval(-e_patch.r_fiber, e_patch.r_fiber)] * e_patch.m),
-                accuracy=max(e_patch.r_fiber**2, 1e-14 * max(1.0, e_patch.r)),
-            )
+            world = e_patch.sheet_point([s * e_patch.r], e_patch.r_fiber, accuracy)
         except _ATTEMPT_ERRORS:
             return None
-        world = _world_point_box(
-            e_patch.frame, IntervalBox.point([s * e_patch.r]).concat(encl)
-        )
         ends.append(target.frame.world_to_local_box(world).parts[along])
     ends.sort(key=lambda piece: piece.midpoint())
     lo = ends[0].hi
@@ -381,17 +364,17 @@ def _facet_slab(
 
 
 def _container_reach(
-    run: SurfaceRun, target: CertifiedPatch, container_id: int, axis: int, side: int
+    image: IntervalBox, target: CertifiedPatch, axis: int, side: int
 ) -> tuple[Interval, Interval, float] | None:
     """Reach of the container cube along the target edge, or None if it misses.
 
-    The facet slab straddles the edge plane, so only a container reaching
-    past both sides of the plane can hold one.  Returns (reach, span, depth):
-    the edge stretch worth working on, the container's unclipped extent along
-    the edge, and how far it reaches past the edge plane on the shallower
-    side.  Span and depth bound the radius of any slab that could fit.
+    ``image`` is the container cube's hull in the target's frame.  The facet
+    slab straddles the edge plane, so only a container reaching past both
+    sides of the plane can hold one.  Returns (reach, span, depth): the edge
+    stretch worth working on, the container's unclipped extent along the
+    edge, and how far it reaches past the edge plane on the shallower side.
+    Span and depth bound the radius of any slab that could fit.
     """
-    image = target.frame.world_to_local_box(run.cube(container_id).world_hull())
     pinned = image.parts[axis]
     edge_coord = side * target.r
     if not pinned.lo < edge_coord < pinned.hi:
@@ -423,7 +406,8 @@ def _attempt_cover(
     memo_key = (target_id, container_id, axis, side, bucket)
     if memo_key in run._cover_memo:
         return 0.0
-    hit = _container_reach(run, target, container_id, axis, side)
+    image = target.frame.world_to_local_box(run.cube(container_id).world_hull())
+    hit = _container_reach(image, target, axis, side)
     if hit is None:
         return 0.0
     reach, span, depth = hit
@@ -459,15 +443,10 @@ def coverage_update(
     removed_total = 0.0
     for axis in range(2):
         for side in (-1, 1):
-            pinned = image.parts[axis]
-            edge_coord = side * target.r
-            # the facet slab straddles the edge plane, so only a container
-            # reaching past both sides of the plane can hold it
-            if not pinned.lo < edge_coord < pinned.hi:
+            hit = _container_reach(image, target, axis, side)
+            if hit is None:
                 continue
-            reach = image.parts[1 - axis].intersect(Interval(-target.r, target.r))
-            if reach.is_empty:
-                continue
+            reach = hit[0]
             work = [
                 (max(lo, reach.lo), min(hi, reach.hi))
                 for lo, hi in cov.intervals(axis, side)
@@ -519,7 +498,7 @@ def _clip_outside_domain(run: SurfaceRun, pid: int, max_depth: int = 12) -> None
         local = [None, None] + [Interval(-patch.r_fiber, patch.r_fiber)] * patch.m
         local[axis] = Interval.point(side * patch.r)
         local[1 - axis] = Interval(lo, hi)
-        return _world_point_box(patch.frame, IntervalBox(local))
+        return patch.frame.to_world_box(IntervalBox(local))
 
     for axis in range(2):
         for side in (-1, 1):
@@ -527,18 +506,10 @@ def _clip_outside_domain(run: SurfaceRun, pid: int, max_depth: int = 12) -> None
             while stack:
                 lo, hi, depth = stack.pop()
                 box = world_slab(axis, side, lo, hi)
-                outside = any(
-                    p.hi < q.lo or p.lo > q.hi
-                    for p, q in zip(box.parts, domain.parts)
-                )
-                if outside:
-                    cov.subtract(axis, side, lo, hi, clip=True)
+                if not box.overlaps(domain):
+                    cov.subtract(axis, side, lo, hi)
                     continue
-                inside = all(
-                    q.lo <= p.lo and p.hi <= q.hi
-                    for p, q in zip(box.parts, domain.parts)
-                )
-                if inside or depth >= max_depth or hi - lo <= 2.0 * cov.floor:
+                if domain.contains_box(box) or depth >= max_depth or hi - lo <= 2.0 * cov.floor:
                     continue
                 mid = 0.5 * (lo + hi)
                 stack.append((lo, mid, depth + 1))
@@ -782,46 +753,13 @@ def _aabb_intersection(
     return tuple(out)
 
 
-def _aabb_covered_by(
-    box: tuple[tuple[float, float], ...],
-    regions: list[tuple[tuple[float, float], ...]],
-) -> bool:
-    """True if the axis-aligned box is contained in the union of regions."""
-    pieces = [box]
-    for region in regions:
-        next_pieces = []
-        for piece in pieces:
-            if _aabb_intersection(piece, region) is None:
-                next_pieces.append(piece)
-                continue
-            # carve the piece along each axis into the parts outside region
-            remainder = list(piece)
-            for k, ((plo, phi), (rlo, rhi)) in enumerate(zip(piece, region)):
-                if plo < rlo:
-                    left = list(remainder)
-                    left[k] = (plo, min(phi, rlo))
-                    next_pieces.append(tuple(left))
-                    remainder[k] = (min(phi, rlo), phi)
-                if phi > rhi:
-                    right = list(remainder)
-                    right[k] = (max(plo, rhi), phi)
-                    next_pieces.append(tuple(right))
-                    remainder[k] = (remainder[k][0], max(plo, rhi))
-        pieces = [p for p in next_pieces if all(hi > lo for lo, hi in p)]
-        if not pieces:
-            return True
-    return not pieces
-
-
-def post_process_trim(run: SurfaceRun, *, drop_covered: bool = False) -> SurfaceRun:
+def post_process_trim(run: SurfaceRun) -> SurfaceRun:
     """Resolve remaining slab overlaps between live patches.
 
     Every touching live pair without a recorded same-sheet verdict is
     component-tested.  Pairs on distinct sheets are replaced by their
     refinements and the shared region is recorded as exclusion metadata on
-    each replacement piece it touches.  With ``drop_covered`` a replacement
-    box whose cube lies entirely inside its recorded exclusions is removed
-    outright; by default the metadata is only recorded.
+    each replacement piece it touches; no box is dropped.
     """
     if run.truncated:
         return run
@@ -862,10 +800,4 @@ def post_process_trim(run: SurfaceRun, *, drop_covered: bool = False) -> Surface
             for other in run.live_ids():
                 if other != pid and frozenset((pid, other)) not in run.verdicts:
                     pending.append((pid, other))
-    if drop_covered:
-        for pid, regions in list(run.exclusions.items()):
-            if run.patches[pid] is None:
-                continue
-            if _aabb_covered_by(run.cube(pid).aabb, regions):
-                run.remove(pid)
     return run

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, LinearAlgebraError
 from .expr import Const, Expr, Var, add, mul, sub
-from .intervals import Interval, IntervalBox, IntervalMatrix
+from .frames import image_box
+from .intervals import IntervalBox, IntervalMatrix
 from .parser import parse_system
 
 __all__ = ["AnalyticSystem", "TransformedSystem", "linear_form"]
@@ -36,7 +37,7 @@ def linear_form(coeffs: Sequence[float], constant: float) -> Expr:
 
 
 class _SystemBase:
-    """Shared slicing helpers; subclasses provide the four eval methods."""
+    """Shared slicing helpers over the subclasses' eval_box/jacobian_box."""
 
     __slots__ = ()
 
@@ -61,18 +62,6 @@ class _SystemBase:
 
     def transform(self, u, v, shift=None) -> "TransformedSystem":
         return TransformedSystem(self, u, v, shift)
-
-    def eval_point(self, x):  # pragma: no cover - interface stub
-        raise NotImplementedError
-
-    def eval_box(self, box):  # pragma: no cover - interface stub
-        raise NotImplementedError
-
-    def jacobian_point(self, x):  # pragma: no cover - interface stub
-        raise NotImplementedError
-
-    def jacobian_box(self, box):  # pragma: no cover - interface stub
-        raise NotImplementedError
 
 
 class AnalyticSystem(_SystemBase):
@@ -106,6 +95,13 @@ class AnalyticSystem(_SystemBase):
     def from_source(cls, text: str) -> "AnalyticSystem":
         names, exprs = parse_system(text)
         return cls(names, exprs)
+
+    @classmethod
+    def from_equations(cls, variables: Sequence[str], equations: Sequence[str]) -> "AnalyticSystem":
+        """System from variable names and equation left-hand sides (``= 0`` implied)."""
+        lines = ["variables = " + " ".join(variables)]
+        lines.extend(f"{eq} = 0" for eq in equations)
+        return cls.from_source("\n".join(lines) + "\n")
 
     def augmented(self, extra: Expr) -> "AnalyticSystem":
         """New system with one more equation (drops ambient dimension by one)."""
@@ -164,7 +160,7 @@ class TransformedSystem(_SystemBase):
     silently change which exact function the certificates talk about.
     """
 
-    __slots__ = ("base", "u", "v", "shift", "n", "m", "_iu_t", "_iv")
+    __slots__ = ("base", "u", "v", "shift", "n", "m", "_iu_t", "iv")
 
     def __init__(self, base: _SystemBase, u, v, shift=None):
         u = np.asarray(u, dtype=float)
@@ -187,23 +183,17 @@ class TransformedSystem(_SystemBase):
         object.__setattr__(self, "n", base.n)
         object.__setattr__(self, "m", base.m)
         object.__setattr__(self, "_iu_t", IntervalMatrix.from_floats(u.T))
-        object.__setattr__(self, "_iv", IntervalMatrix.from_floats(v))
+        object.__setattr__(self, "iv", IntervalMatrix.from_floats(v))
 
     def __setattr__(self, name, value):
         raise AttributeError("TransformedSystem is immutable")
-
-    def _image_box(self, box: IntervalBox) -> IntervalBox:
-        moved = self._iv.matvec(box)
-        return IntervalBox(
-            [Interval.point(float(s)) + p for s, p in zip(self.shift, moved.parts)]
-        )
 
     def eval_point(self, x: Sequence[float]) -> np.ndarray:
         w = self.shift + self.v @ np.asarray(x, dtype=float)
         return self.u.T @ self.base.eval_point(w)
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
-        vals = self.base.eval_box(self._image_box(box))
+        vals = self.base.eval_box(image_box(self.shift, self.iv, box))
         return self._iu_t.matvec(vals)
 
     def jacobian_point(self, x: Sequence[float]) -> np.ndarray:
@@ -211,5 +201,5 @@ class TransformedSystem(_SystemBase):
         return self.u.T @ self.base.jacobian_point(w) @ self.v
 
     def jacobian_box(self, box: IntervalBox) -> IntervalMatrix:
-        inner = self.base.jacobian_box(self._image_box(box))
-        return self._iu_t.matmul(inner).matmul(self._iv)
+        inner = self.base.jacobian_box(image_box(self.shift, self.iv, box))
+        return self._iu_t.matmul(inner).matmul(self.iv)

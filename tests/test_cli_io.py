@@ -233,6 +233,75 @@ def test_graph_jsonl_round_trip_and_verify(tmp_path):
     assert not verify_jsonl(bad).ok
 
 
+SADDLE_SRC = "variables = x y z\n0.25*x^2 - 0.125*x*y^2 - z = 0\n"
+
+
+@pytest.fixture(scope="module")
+def saddle_export(tmp_path_factory):
+    """A 52-cell one-sheet graph cover of the saddle over [-0.5, 0.5]^2."""
+    saddle = AnalyticSystem.from_source(SADDLE_SRC)
+    cover = cover_graph(
+        saddle, [(-0.5, 0.5), (-0.5, 0.5)], IntervalBox([Interval(-10.0, 10.0)]), 0.125
+    )
+    path = tmp_path_factory.mktemp("saddle") / "saddle.jsonl"
+    assert write_graph_jsonl(saddle, cover, path) == 52
+    return path
+
+
+def test_verify_rejects_dropped_cells(saddle_export, tmp_path):
+    assert verify_jsonl(saddle_export).ok
+    bad = tmp_path / "half.jsonl"
+
+    def drop_every_second(header, recs):
+        recs[:] = recs[::2]
+        header["count"] = len(recs)
+
+    _rewrite(saddle_export, bad, drop_every_second)
+    report = verify_jsonl(bad)
+    assert not report.ok and report.checked == 26
+    assert report.failures == ["sheet 0 covers 1/2 of base_bounds, not all of it"]
+
+
+def test_verify_rejects_cell_outside_base(saddle_export, tmp_path):
+    bad = tmp_path / "outside.jsonl"
+
+    def widen(header, recs):
+        header["base_bounds"][0] = [-0.25, 0.5]
+
+    _rewrite(saddle_export, bad, widen)
+    report = verify_jsonl(bad)
+    assert not report.ok
+    assert any("inside base_bounds" in f for f in report.failures)
+
+
+def test_verify_rejects_sheet_count_mismatch(saddle_export, tmp_path):
+    bad = tmp_path / "sheets.jsonl"
+    _rewrite(saddle_export, bad, lambda header, recs: header.update(sheets=2))
+    report = verify_jsonl(bad)
+    assert report.failures == ["sheet 1 covers 0 of base_bounds, not all of it"]
+
+    relabel = tmp_path / "relabel.jsonl"
+    _rewrite(saddle_export, relabel, lambda header, recs: recs[0].update(sheet=1))
+    assert any("sheet 1 is not one of 1" in f for f in verify_jsonl(relabel).failures)
+
+
+def test_verify_rejects_foreign_rho(tmp_path):
+    sph = AnalyticSystem.from_source(SPHERE_SRC)
+    run = certified_surface_approximation(sph, (0.0, 0.0, 1.0), 0.1, 0.125, max_boxes=3)
+    src = tmp_path / "three.jsonl"
+    write_surface_jsonl(run, src)
+    assert verify_jsonl(src).ok
+    bad = tmp_path / "rho.jsonl"
+
+    def loosen(header, recs):
+        recs[1]["rho"] = 0.5
+
+    _rewrite(src, bad, loosen)
+    report = verify_jsonl(bad)
+    assert not report.ok
+    assert any("differs from the header" in f for f in report.failures)
+
+
 # ---------------------------------------------------------------------------
 # OBJ meshes
 

@@ -27,7 +27,6 @@ from certsurf.expr import (
     mul,
     neg,
     power,
-    sqrt_of,
     square,
     sub,
     to_source,
@@ -204,7 +203,7 @@ def expr_trees(draw, depth=0):
     if leaf == "neg":
         return neg(draw(expr_trees(depth=depth + 1)))
     if leaf == "sqrt":
-        return sqrt_of(draw(expr_trees(depth=depth + 1)))
+        return Sqrt(draw(expr_trees(depth=depth + 1)))
     if leaf == "square":
         return square(draw(expr_trees(depth=depth + 1)))
     if leaf == "pow":

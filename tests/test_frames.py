@@ -66,12 +66,17 @@ def test_world_hull_of_rotated_box():
 
 
 def test_contains_world_point():
+    # a world point is a box of radius 0; containment goes through obox_contains
     b = OrientedBox.make([1.0, 2.0, 3.0], _rot_z(0.3), [0.5, 0.4, 0.3])
-    assert b.contains_world_point([1.0, 2.0, 3.0])
+
+    def point(p):
+        return OrientedBox.make(p, np.eye(3), [0.0, 0.0, 0.0])
+
+    assert obox_contains(b, point([1.0, 2.0, 3.0]))
     inside = np.array([1.0, 2.0, 3.0]) + b.v @ np.array([0.49, -0.39, 0.29])
     outside = np.array([1.0, 2.0, 3.0]) + b.v @ np.array([0.51, 0.0, 0.0])
-    assert b.contains_world_point(list(inside))
-    assert not b.contains_world_point(list(outside))
+    assert obox_contains(b, point(inside))
+    assert not obox_contains(b, point(outside))
 
 
 def test_obox_contains_basic():
@@ -89,11 +94,10 @@ def test_obox_contains_basic():
     assert not obox_contains(outer, too_big)
 
 
-def test_obox_contains_skip_and_restrict():
+def test_obox_contains_restricted_axes():
     outer = OrientedBox.make([0.0, 0.0, 0.0], np.eye(3), [1e-12, 1.0, 1.0])
     inner = OrientedBox.make([0.0, 0.0, 0.0], np.eye(3), [0.5, 0.5, 0.5])
     assert not obox_contains(outer, inner)
-    assert obox_contains(outer, inner, skip_axis=0)
     assert obox_contains(outer, inner, axes=(1, 2))
     assert not obox_contains(outer, inner, axes=(0,))
 

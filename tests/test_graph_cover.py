@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from certsurf.errors import CertificationError
-from certsurf.graph_cover import cover_graph, isolate_fiber_roots
+from certsurf.graph_cover import cover_graph, isolate_fiber_roots, sheet_measures
 from certsurf.intervals import Interval, IntervalBox
 from certsurf.system import AnalyticSystem
 
@@ -17,6 +17,7 @@ PLANE = AnalyticSystem.from_source("variables = x y z\nz = 0\n")
 TILTED = AnalyticSystem.from_source("variables = x y z\n0.25*x - z = 0\n")
 SPHERE = AnalyticSystem.from_source("variables = x y z\nx^2 + y^2 + z^2 - 1 = 0\n")
 TWO_SHEETS = AnalyticSystem.from_source("variables = x y z\nz^2 - 1 = 0\n")
+SADDLE = AnalyticSystem.from_source("variables = x y z\n0.25*x^2 - 0.125*x*y^2 - z = 0\n")
 
 
 def test_isolate_two_roots():
@@ -44,7 +45,7 @@ def test_plane_certifies_in_one_cell():
     assert cell.depth == 0
     assert cell.fiber_center == (0.0,)
     assert cell.cert.norm_k == 0.0
-    assert cover.area_fraction() == Fraction(1)
+    assert cover.area_fraction() == (Fraction(1),)
 
 
 def test_tilted_plane_uniform_depth():
@@ -54,7 +55,7 @@ def test_tilted_plane_uniform_depth():
     assert cover.sheets == 1
     assert len(cover.cells) == 256
     assert all(c.depth == 4 for c in cover.cells)
-    assert cover.area_fraction() == Fraction(1)
+    assert cover.area_fraction() == (Fraction(1),)
     rng = random.Random(11)
     for cell in cover.cells:
         cx = cell.center[0]
@@ -71,7 +72,7 @@ def test_sphere_cap_cover():
         SPHERE, [(-0.3, 0.3), (-0.3, 0.3)], IntervalBox([Interval(0.5, 1.5)]), 0.125
     )
     assert cover.sheets == 1
-    assert cover.area_fraction() == Fraction(1)
+    assert cover.area_fraction() == (Fraction(1),)
     assert len(cover.cells) >= 4
     rng = random.Random(99)
     for cell in cover.cells:
@@ -91,10 +92,33 @@ def test_two_sheet_cover():
     lower = cover.sheet_cells(0)
     upper = cover.sheet_cells(1)
     assert lower and upper
-    assert sum(Fraction(1, 1 << (2 * c.depth)) for c in lower) == Fraction(1)
-    assert sum(Fraction(1, 1 << (2 * c.depth)) for c in upper) == Fraction(1)
+    assert cover.area_fraction() == (Fraction(1), Fraction(1))
     assert all(c.fiber_center[0] == pytest.approx(-1.0, abs=1e-12) for c in lower)
     assert all(c.fiber_center[0] == pytest.approx(1.0, abs=1e-12) for c in upper)
+
+
+def test_area_fraction_one_dimensional():
+    cubic = AnalyticSystem.from_source("variables = x y\ny - x^3 = 0\n")
+    cover = cover_graph(cubic, [(-1.0, 1.0)], IntervalBox([Interval(-2.0, 2.0)]), 0.125)
+    assert len(cover.cells) == 268
+    assert cover.area_fraction() == (Fraction(1),)
+
+
+def test_area_fraction_saddle():
+    cover = cover_graph(
+        SADDLE, [(-0.5, 0.5), (-0.5, 0.5)], IntervalBox([Interval(-10.0, 10.0)]), 0.125
+    )
+    assert len({c.depth for c in cover.cells}) > 1
+    assert cover.area_fraction() == (Fraction(1),)
+
+
+def test_area_fraction_per_sheet():
+    pair = AnalyticSystem.from_source("variables = x y\ny^2 - 1 - 0.1*x = 0\n")
+    cover = cover_graph(pair, [(-1.0, 1.0)], IntervalBox([Interval(-3.0, 3.0)]), 0.125)
+    assert cover.sheets == 2
+    assert cover.area_fraction() == (Fraction(1), Fraction(1))
+    lower = cover.sheet_cells(0)
+    assert sheet_measures([(0, c.depth) for c in lower[1:]], 2, 1)[0] < 1
 
 
 def test_exact_tiling_no_gaps():
@@ -126,7 +150,7 @@ def test_forced_refinement():
     )
     assert len(cover.cells) == 16
     assert all(c.depth == 2 for c in cover.cells)
-    assert cover.area_fraction() == Fraction(1)
+    assert cover.area_fraction() == (Fraction(1),)
 
 
 def test_not_a_graph_raises():

@@ -8,9 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from certsurf.errors import CertificationError, RefinementStalledError
+from certsurf.errors import RefinementStalledError
 from certsurf.intervals import Interval, IntervalBox
-from certsurf.krawczyk import graph_lipschitz, krawczyk_test, refine_fiber_root
+from certsurf.krawczyk import krawczyk_test, refine_fiber_root
 from certsurf.system import AnalyticSystem
 
 SPHERE_SRC = "variables = x y z\nx^2 + y^2 + z^2 - 1 = 0\n"
@@ -133,20 +133,3 @@ def test_refine_respects_bracket_fuzz():
         resid = s.eval_point([bx, by, center[0]])[0]
         assert abs(resid) < 1e-9
     assert hits > 20
-
-
-def test_graph_lipschitz_sphere_cap():
-    s = AnalyticSystem.from_source(SPHERE_SRC)
-    base = _base(0.05)
-    fiber = IntervalBox([Interval(0.95, 1.05)])
-    bound = graph_lipschitz(s, base, fiber, np.array([[0.5]]))
-    # sup (|x|+|y|)/|z| over the box is 0.1/0.95
-    assert 0.105263 <= bound <= 0.10527
-
-
-def test_graph_lipschitz_rejects_undominated():
-    s = AnalyticSystem.from_source(SPHERE_SRC)
-    base = _base(0.05)
-    fiber = IntervalBox([Interval(-0.5, 1.05)])  # fiber range crosses z = 0
-    with pytest.raises(CertificationError):
-        graph_lipschitz(s, base, fiber, np.array([[0.5]]))

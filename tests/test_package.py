@@ -1,0 +1,34 @@
+"""Package hygiene: declared public names exist, private names stay private."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import certsurf
+
+MODULES = ["certsurf"] + sorted(
+    f"certsurf.{info.name}" for info in pkgutil.iter_modules(certsurf.__path__)
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    module = importlib.import_module(name)
+    missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert missing == [], f"{name}.__all__ lists names it does not define"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_cross_module_imports(name):
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"{name} imports private names from sibling modules"

@@ -17,6 +17,7 @@ import pytest
 
 from certsurf.errors import CertificationError, RankDeficientError
 from certsurf.frames import obox_disjoint
+from certsurf.intervals import IntervalBox
 from certsurf.patching import (
     CertifiedPatch,
     certify_box,
@@ -95,7 +96,7 @@ def test_enclosure_and_uniqueness_geometry(sphere):
     unq = patch.uniqueness_box()
     assert enc.radii == (patch.r, patch.r, patch.r_fiber)
     assert unq.radii == (patch.r, patch.r, patch.r)
-    assert enc.contains_world_point(patch.frame.center)
+    assert patch.slab_holds(IntervalBox.point(patch.frame.center))
     # slab is strictly thinner than the uniqueness cube
     assert patch.r_fiber < patch.r
 

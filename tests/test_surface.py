@@ -10,7 +10,6 @@ from certsurf.patching import certify_box
 from certsurf.surface import (
     EdgeCoverage,
     SurfaceRun,
-    _aabb_covered_by,
     _clip_outside_domain,
     _edge_exit_point,
     certified_surface_approximation,
@@ -31,7 +30,7 @@ FOLD = AnalyticSystem.from_source("variables = x y z\nz^2 - x = 0\n")
 def test_edge_coverage_starts_full():
     cov = EdgeCoverage(0.5)
     assert not cov.is_done()
-    assert cov.uncovered_length() == pytest.approx(4 * 1.0)
+    assert sum(hi - lo for pieces in cov.edges.values() for lo, hi in pieces) == 4.0
     axis, side, lo, hi = cov.longest()
     assert (lo, hi) == (-0.5, 0.5)
 
@@ -66,36 +65,6 @@ def test_edge_coverage_done_after_all_edges():
             cov.subtract(axis, side, -0.25, 0.25)
     assert cov.is_done()
     assert cov.longest() is None
-
-
-def test_edge_coverage_clip_recorded_separately():
-    cov = EdgeCoverage(1.0)
-    cov.subtract(0, 1, 0.0, 1.0, clip=True)
-    assert cov.clipped[(0, 1)] == [(0.0, 1.0)]
-    assert cov.intervals(0, 1) == [(-1.0, 0.0)]
-
-
-# ---------------------------------------------------------------------------
-# axis-aligned box subtraction helper
-
-
-def test_aabb_covered_by_exact():
-    box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-    assert _aabb_covered_by(box, [box])
-
-
-def test_aabb_covered_by_split_regions():
-    box = ((0.0, 1.0), (0.0, 1.0))
-    left = ((-1.0, 0.5), (-1.0, 2.0))
-    right = ((0.5, 2.0), (-1.0, 2.0))
-    assert _aabb_covered_by(box, [left, right])
-    assert not _aabb_covered_by(box, [left])
-
-
-def test_aabb_covered_by_gap():
-    box = ((0.0, 1.0), (0.0, 1.0))
-    pieces = [((0.0, 0.4), (0.0, 1.0)), ((0.6, 1.0), (0.0, 1.0))]
-    assert not _aabb_covered_by(box, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +106,7 @@ def test_coverage_update_ignores_far_patch():
     ia = run.add(a)
     ib = run.add(b)
     assert coverage_update(run, ia, ib) == 0.0
-    assert run.coverage[ia].uncovered_length() == pytest.approx(0.8)
+    assert all(pieces == [(-0.1, 0.1)] for pieces in run.coverage[ia].edges.values())
 
 
 def test_domain_clip_strikes_outside_edge():
@@ -149,14 +118,17 @@ def test_domain_clip_strikes_outside_edge():
             [Interval(-0.05, 1.0), Interval(-1.0, 1.0), Interval(-1.0, 1.0)]
         ),
     )
-    pid = run.add(certify_box(PLANE, (0.0, 0.0, 0.0), 0.1, 0.125))
+    patch = certify_box(PLANE, (0.0, 0.0, 0.0), 0.1, 0.125)
+    pid = run.add(patch)
     _clip_outside_domain(run, pid)
     cov = run.coverage[pid]
-    # the edge at world x = -0.1 is provably outside and fully clipped
-    per_edge = {key: sum(hi - lo for lo, hi in pieces) for key, pieces in cov.edges.items()}
-    assert min(per_edge.values()) == 0.0
-    assert sum(1 for v in per_edge.values() if v == 0.0) == 1
-    assert any(run.coverage[pid].clipped[key] for key in cov.clipped)
+    # the edge at world x = -0.1 is provably outside and has left the
+    # ledger; every other edge keeps an uncovered stretch
+    for axis, side in cov.edges:
+        base = [0.0, 0.0, 0.0]
+        base[axis] = side * patch.r
+        outside = patch.frame.to_world(base)[0] < -0.09
+        assert (cov.intervals(axis, side) == []) == outside
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +225,8 @@ def test_trim_skips_truncated_runs():
     assert not run.verdicts
 
 
-def test_trim_drop_rule_removes_fully_excluded_box():
-    run = _engaged_fold_run()
-    post_process_trim(run)
-    victim = run.live_ids()[0]
-    run.exclusions[victim] = [run.cube(victim).aabb]
-    post_process_trim(run, drop_covered=True)
-    assert run.patches[victim] is None
-
-
 def test_trim_keeps_partially_excluded_box():
+    # exclusions are metadata only: trim never drops a box because of them
     run = _engaged_fold_run()
     post_process_trim(run)
     survivor = run.live_ids()[0]
@@ -272,5 +236,5 @@ def test_trim_keeps_partially_excluded_box():
         for k, (lo, hi) in enumerate(aabb)
     )
     run.exclusions[survivor] = [half]
-    post_process_trim(run, drop_covered=True)
+    post_process_trim(run)
     assert run.patches[survivor] is not None
