@@ -21,7 +21,6 @@ from .expr import to_source
 from .graph_cover import sheet_measures
 from .intervals import Interval, IntervalBox
 from .krawczyk import krawczyk_test
-from .linalg import approx_inverse
 from .system import AnalyticSystem
 
 __all__ = [
@@ -169,10 +168,8 @@ def _patch_test(system, rho: float, rec: dict):
     u = np.asarray(rec["frame_u"], dtype=float)
     r = float(rec["r"])
     gsys = system.transform(u, v, shift=[float(c) for c in rec["center"]])
-    d, m = system.d, system.m
-    a = approx_inverse(np.asarray(gsys.jacobian_point([0.0] * system.n))[:, d:])
-    base = IntervalBox([Interval(-r, r) for _ in range(d)])
-    return krawczyk_test(gsys, base, [0.0] * m, r, a, rho), float(rec["r_fiber"])
+    base = IntervalBox([Interval(-r, r) for _ in range(system.d)])
+    return krawczyk_test(gsys, base, [0.0] * system.m, r, rho), float(rec["r_fiber"])
 
 
 def _cell_test(system, rho: float, rec: dict):
@@ -180,19 +177,16 @@ def _cell_test(system, rho: float, rec: dict):
     base = IntervalBox([Interval(lo, hi) for lo, hi in rec["bounds"]])
     y = [float(c) for c in rec["fiber_center"]]
     r2 = float(rec["fiber_radius"])
-    center = base.midpoint()
-    a = approx_inverse(np.asarray(system.jacobian_point(list(center) + y))[:, system.d :])
-    return krawczyk_test(system, base, y, r2, a, rho), float(rec["fiber_enclosure"])
+    return krawczyk_test(system, base, y, r2, rho), float(rec["fiber_enclosure"])
 
 
 def _verify_record(system, header: dict, rec: dict) -> list[str]:
     problems: list[str] = []
     kind = rec["record"]
     label = f"{kind} {rec.get('id', '?')}"
-    stored = rec["certificate"]
-    if not float(stored["margin"]) > 0.0:
-        problems.append(f"{label}: stored margin is not positive")
     try:
+        if not float(rec["certificate"]["margin"]) > 0.0:
+            problems.append(f"{label}: stored margin is not positive")
         rho = float(header["rho"])
         if kind == "patch" and float(rec["rho"]) != rho:
             problems.append(f"{label}: rho {rec['rho']} differs from the header's {rho}")
@@ -209,11 +203,31 @@ def _verify_record(system, header: dict, rec: dict) -> list[str]:
     return problems
 
 
+def _dyadic_index(lo: float, hi: float, clo: float, chi: float, depth: int) -> int | None:
+    """Position of [clo, chi] among the depth-fold halvings of [lo, hi].
+
+    Each halving splits at ``Interval.midpoint``, as the graph cover does.
+    None when [clo, chi] is not one of the 2^depth pieces.
+    """
+    index = 0
+    for _ in range(depth):
+        mid = Interval(lo, hi).midpoint()
+        if chi <= mid:
+            hi, index = mid, 2 * index
+        elif clo >= mid:
+            lo, index = mid, 2 * index + 1
+        else:
+            return None
+    return index if (lo, hi) == (clo, chi) else None
+
+
 def _verify_tiling(header: dict, cells: list[dict], d: int) -> list[str]:
     """Check that the cells of each claimed sheet tile ``base_bounds``.
 
-    Every cell must lie inside the base rectangle and name one of the
-    header's sheets, and each sheet's dyadic measure must be exactly 1.
+    Every cell must lie inside the base rectangle, name one of the header's
+    sheets and be the dyadic cell its depth names; no two cells of a sheet
+    may nest, and each sheet's dyadic measure must be exactly 1.  Cells that
+    do not nest overlap in measure zero, so measure 1 means they tile.
     """
     sheets = header.get("sheets")
     if type(sheets) is not int or not 1 <= sheets <= len(cells):
@@ -226,15 +240,20 @@ def _verify_tiling(header: dict, cells: list[dict], d: int) -> list[str]:
         return [f"header base_bounds has {len(base)} ranges, expected {d}"]
     problems: list[str] = []
     labels = []
+    # (sheet, depth, per-axis dyadic index) -> cell label; cells of a tiling
+    # share most axis ranges, so each axis replay is kept in ``axis_index``
+    cells_at: dict[tuple, str] = {}
+    axis_index: dict[tuple, int | None] = {}
     for rec in cells:
         label = f"cell {rec.get('id', '?')}"
         try:
             bounds = [(float(lo), float(hi)) for lo, hi in rec["bounds"]]
         except (KeyError, TypeError, ValueError):
             bounds = []
-        if len(bounds) != d or not all(
+        inside = len(bounds) == d and all(
             blo <= lo < hi <= bhi for (lo, hi), (blo, bhi) in zip(bounds, base)
-        ):
+        )
+        if not inside:
             problems.append(f"{label}: bounds do not lie inside base_bounds")
         sheet, depth = rec.get("sheet"), rec.get("depth")
         if type(sheet) is not int or not 0 <= sheet < sheets:
@@ -243,6 +262,32 @@ def _verify_tiling(header: dict, cells: list[dict], d: int) -> list[str]:
             problems.append(f"{label}: depth {depth!r} is out of range")
         else:
             labels.append((sheet, depth))
+            if not inside:
+                continue
+            index = []
+            for k, ((blo, bhi), (lo, hi)) in enumerate(zip(base, bounds)):
+                key = (k, lo, hi, depth)
+                if key not in axis_index:
+                    axis_index[key] = _dyadic_index(blo, bhi, lo, hi, depth)
+                index.append(axis_index[key])
+            key = (sheet, depth, tuple(index))
+            if None in index:
+                problems.append(f"{label}: bounds are not the depth-{depth} cell of base_bounds")
+            elif key in cells_at:
+                problems.append(f"{label}: repeats {cells_at[key]}")
+            else:
+                cells_at[key] = label
+    # a cell nests inside another when one of its dyadic ancestors is a cell
+    ancestors = set()
+    for sheet, depth, index in cells_at:
+        while depth > 0:
+            depth, index = depth - 1, tuple(j >> 1 for j in index)
+            if (sheet, depth, index) in ancestors:
+                break
+            ancestors.add((sheet, depth, index))
+    for key, label in cells_at.items():
+        if key in ancestors:
+            problems.append(f"{label}: holds a smaller cell of sheet {key[0]}")
     for k, measure in enumerate(sheet_measures(labels, sheets, d)):
         if measure != 1:
             problems.append(f"sheet {k} covers {measure} of base_bounds, not all of it")

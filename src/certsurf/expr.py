@@ -30,9 +30,6 @@ class Expr:
     def derivative(self, var: int) -> "Expr":
         raise NotImplementedError
 
-    def node_count(self) -> int:
-        raise NotImplementedError
-
     def max_var(self) -> int:
         """Largest variable index used, or -1 when constant."""
         raise NotImplementedError
@@ -52,9 +49,6 @@ class Const(Expr):
 
     def derivative(self, var):
         return Const(0.0)
-
-    def node_count(self):
-        return 1
 
     def max_var(self):
         return -1
@@ -89,9 +83,6 @@ class Var(Expr):
     def derivative(self, var):
         return Const(1.0 if var == self.index else 0.0)
 
-    def node_count(self):
-        return 1
-
     def max_var(self):
         return self.index
 
@@ -119,9 +110,6 @@ class Neg(Expr):
 
     def derivative(self, var):
         return neg(self.arg.derivative(var))
-
-    def node_count(self):
-        return 1 + self.arg.node_count()
 
     def max_var(self):
         return self.arg.max_var()
@@ -156,9 +144,6 @@ class Sqrt(Expr):
         du = self.arg.derivative(var)
         return div(du, mul(Const(2.0), Sqrt(self.arg)))
 
-    def node_count(self):
-        return 1 + self.arg.node_count()
-
     def max_var(self):
         return self.arg.max_var()
 
@@ -188,9 +173,6 @@ class Square(Expr):
     def derivative(self, var):
         du = self.arg.derivative(var)
         return mul(mul(Const(2.0), self.arg), du)
-
-    def node_count(self):
-        return 1 + self.arg.node_count()
 
     def max_var(self):
         return self.arg.max_var()
@@ -226,9 +208,6 @@ class Pow(Expr):
         du = self.base.derivative(var)
         return mul(mul(Const(float(self.exponent)), power(self.base, self.exponent - 1)), du)
 
-    def node_count(self):
-        return 1 + self.base.node_count()
-
     def max_var(self):
         return self.base.max_var()
 
@@ -249,9 +228,6 @@ class _Binary(Expr):
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
-
-    def node_count(self):
-        return 1 + self.left.node_count() + self.right.node_count()
 
     def max_var(self):
         return max(self.left.max_var(), self.right.max_var())

@@ -26,9 +26,11 @@ import numpy as np
 from .errors import CertificationError, LinearAlgebraError, RefinementStalledError
 from .intervals import Interval, IntervalBox
 from .krawczyk import KrawczykResult, krawczyk_test, refine_fiber_root
-from .linalg import approx_inverse
 
 __all__ = ["GraphCell", "GraphCover", "cover_graph", "isolate_fiber_roots", "sheet_measures"]
+
+_ISOLATE_MAX_DEPTH = 60
+_SLICE_NEWTON_MAX_ITER = 25
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -98,13 +100,13 @@ def isolate_fiber_roots(
     system,
     base_point: Sequence[float],
     fiber_box: IntervalBox,
-    max_depth: int = 60,
 ) -> list[tuple[list[float], IntervalBox]]:
     """All fiber roots above one base point, each in a certified enclosure.
 
     Bisects the bracket until every piece is either excluded (the interval
     evaluation misses zero) or holds exactly one proven root.  Raises when
-    a piece stays undecided past max_depth or two enclosures overlap.
+    a piece stays undecided past _ISOLATE_MAX_DEPTH bisections or two
+    enclosures overlap.
     """
     base_point = [float(x) for x in base_point]
     found: list[tuple[list[float], IntervalBox]] = []
@@ -117,9 +119,9 @@ def isolate_fiber_roots(
         try:
             center, encl = refine_fiber_root(system, base_point, box, 0.0)
         except (RefinementStalledError, LinearAlgebraError):
-            if depth >= max_depth:
+            if depth >= _ISOLATE_MAX_DEPTH:
                 raise CertificationError(
-                    f"fiber bracket piece undecided after {max_depth} bisections"
+                    f"fiber bracket piece undecided after {_ISOLATE_MAX_DEPTH} bisections"
                 )
             axis = max(range(len(box)), key=lambda i: box[i].hi - box[i].lo)
             lo, hi = box[axis].lo, box[axis].hi
@@ -146,14 +148,14 @@ def isolate_fiber_roots(
 
 
 def _float_newton_slice(
-    system, base_point: Sequence[float], y0: Sequence[float], max_iter: int = 25
+    system, base_point: Sequence[float], y0: Sequence[float]
 ) -> list[float] | None:
     """Plain float Newton on the fiber slice; None when it goes nowhere."""
     d = system.d
     y = np.asarray(y0, dtype=float)
     base = list(base_point)
     scale = max(1.0, float(np.max(np.abs(y))))
-    for _ in range(max_iter):
+    for _ in range(_SLICE_NEWTON_MAX_ITER):
         pt = base + [float(v) for v in y]
         g = system.eval_point(pt)
         if not np.all(np.isfinite(g)):
@@ -244,15 +246,11 @@ def cover_graph(
         r2 = fiber_radius_at(depth, y)
         if r2 > 0.0 and (max_cell_radius is None or _max_halfwidth(bounds, center) <= max_cell_radius):
             try:
-                a = approx_inverse(
-                    np.asarray(system.jacobian_point(center + y))[:, d:]
-                )
                 res = krawczyk_test(
                     system,
                     IntervalBox([Interval(lo, hi) for lo, hi in bounds]),
                     y,
                     r2,
-                    a,
                     rho,
                 )
             except (LinearAlgebraError, CertificationError):

@@ -556,9 +556,6 @@ class IntervalBox:
             raise ValueError("dimension mismatch")
         return IntervalBox(a.hull(b) for a, b in zip(self.parts, other.parts))
 
-    def contains_point(self, coords: Sequence[float]) -> bool:
-        return all(p.contains(x) for p, x in zip(self.parts, coords))
-
     def contains_box(self, other: "IntervalBox") -> bool:
         return all(a.contains_interval(b) for a, b in zip(self.parts, other.parts))
 

@@ -1,12 +1,13 @@
 """Interval Krawczyk tests over box slices of an analytic system.
 
-Two verifiers live here.  ``krawczyk_test`` proves that over a whole base
+One kernel, ``_krawczyk_terms``, evaluates the Krawczyk operator and picks
+its own preconditioner.  ``krawczyk_test`` proves that over a whole base
 box the system has, for every base point, a unique fiber solution within
 ``rho * fiber_radius`` of the fiber center: that is the certificate every
-exported patch carries.  ``refine_fiber_root`` is its square cousin for a
-single base point, shrinking a bracket around one fiber root and proving
-the root exists; its output enclosures feed the coverage bookkeeping, so
-they are rigorous rather than best-effort.
+exported patch carries.  ``refine_fiber_root`` is the square test, the same
+kernel over a point base box: it shrinks a bracket around one fiber root
+and proves the root exists; its output enclosures feed the coverage
+bookkeeping, so they are rigorous rather than best-effort.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import CertificationError, RefinementStalledError
 from .intervals import Interval, IntervalBox, IntervalMatrix, mul_down, sub_down
 from .linalg import approx_inverse
 
 __all__ = ["KrawczykResult", "krawczyk_test", "refine_fiber_root"]
+
+_REFINE_MAX_ITER = 60
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,7 +32,25 @@ class KrawczykResult:
     norm_k: float  # upper bound on |K|_inf
     threshold: float  # lower bound on rho * fiber_radius
     margin: float  # lower bound on threshold - |K|_inf; positive iff passed
-    k_box: IntervalBox
+
+
+def _krawczyk_terms(
+    system, base_box: IntervalBox, fiber_center: list[float], fiber_box: IntervalBox
+) -> tuple[IntervalBox, IntervalBox]:
+    """The terms A F(I, c) and (Id - A Jfiber(I x X)) (X - c) of K.
+
+    A is the float inverse of the fiber Jacobian at (midpoint of I, c); any
+    A keeps K sound, and this one makes the second term small.
+    """
+    d = system.d
+    a = approx_inverse(system.jacobian_point(base_box.midpoint() + fiber_center)[:, d:])
+    ia = IntervalMatrix.from_floats(a)
+    newton = ia.matvec(_slice_value_enclosure(system, base_box, fiber_center))
+    jac = system.jacobian_box(base_box.concat(fiber_box))
+    mid = IntervalMatrix.identity(system.m) - ia.matmul(
+        IntervalMatrix([row[d:] for row in jac.rows])
+    )
+    return newton, mid.matvec(fiber_box.sub_point(fiber_center))
 
 
 def krawczyk_test(
@@ -39,7 +58,6 @@ def krawczyk_test(
     base_box: IntervalBox,
     fiber_center: Sequence[float],
     fiber_radius: float,
-    a: np.ndarray,
     rho: float,
 ) -> KrawczykResult:
     """Contraction test for the fiber map over a full base box.
@@ -60,16 +78,8 @@ def krawczyk_test(
         raise ValueError(f"fiber radius must be positive, got {fiber_radius}")
     fiber_box = IntervalBox.from_center_radii(fiber_center, [fiber_radius] * m)
 
-    ia = IntervalMatrix.from_floats(a)
-    fval = _slice_value_enclosure(system, base_box, fiber_center)
-    first = ia.matvec(fval)
-    mid = IntervalMatrix.identity(m) - ia.matmul(
-        system.jacobian_sub_box(base_box, fiber_box)
-    )
-    second = mid.matvec(fiber_box.sub_point(fiber_center))
-    k_box = IntervalBox([s - f for s, f in zip(second.parts, first.parts)])
-
-    norm_k = k_box.norm_up()
+    newton, spread = _krawczyk_terms(system, base_box, fiber_center, fiber_box)
+    norm_k = IntervalBox([s - f for s, f in zip(spread.parts, newton.parts)]).norm_up()
     threshold = mul_down(rho, fiber_radius)
     margin = sub_down(threshold, norm_k)
     return KrawczykResult(
@@ -77,7 +87,6 @@ def krawczyk_test(
         norm_k=norm_k,
         threshold=threshold,
         margin=margin,
-        k_box=k_box,
     )
 
 
@@ -90,13 +99,18 @@ def _slice_value_enclosure(
     base center.  The natural form is tight when the frame happens to be
     axis aligned; the mean-value form survives rotated frames, where the
     natural evaluation wraps the tilted slice in a far larger box.  Both
-    enclose the true range, so the intersection does too.
+    enclose the true range, so the intersection does too.  Over a point
+    base box the mean-value term is exactly zero, so the natural form is
+    returned as it is.
     """
     fiber_point = IntervalBox.point(fiber_center)
     direct = system.eval_box(base_box.concat(fiber_point))
+    if all(p.lo == p.hi for p in base_box.parts):
+        return direct
     base_mid = base_box.midpoint()
     thin = system.eval_box(IntervalBox.point(base_mid).concat(fiber_point))
-    jb = system.jacobian_base_box(base_box, fiber_point)
+    jac = system.jacobian_box(base_box.concat(fiber_point))
+    jb = IntervalMatrix([row[: system.d] for row in jac.rows])
     spread = jb.matvec(base_box.sub_point(base_mid))
     mean_value = IntervalBox([t + s for t, s in zip(thin.parts, spread.parts)])
     out = direct.intersect(mean_value)
@@ -116,7 +130,6 @@ def refine_fiber_root(
     base_point: Sequence[float],
     fiber_box: IntervalBox,
     accuracy: float,
-    max_iter: int = 60,
 ) -> tuple[list[float], IntervalBox]:
     """Shrink a bracket around the fiber root above one base point.
 
@@ -126,9 +139,8 @@ def refine_fiber_root(
     the bracket survives into the result.  Raises RefinementStalledError
     when existence cannot be established or the bracket empties out.
     """
-    m = system.m
-    base_point = [float(x) for x in base_point]
-    if len(base_point) != system.d or len(fiber_box) != m:
+    base = IntervalBox.point(base_point)
+    if len(base) != system.d or len(fiber_box) != system.m:
         raise ValueError("base/fiber split does not match the system")
     if fiber_box.is_empty:
         raise ValueError("empty starting bracket")
@@ -139,17 +151,9 @@ def refine_fiber_root(
     current = fiber_box
     proven = False
     prev_radius = None
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         center = current.midpoint()
-        a = approx_inverse(
-            np.asarray(system.jacobian_point(base_point + center))[:, system.d :]
-        )
-        ia = IntervalMatrix.from_floats(a)
-        fval = system.eval_box(IntervalBox.point(base_point + center))
-        newton = ia.matvec(fval)
-        jsub = system.jacobian_sub_box(IntervalBox.point(base_point), current)
-        mid = IntervalMatrix.identity(m) - ia.matmul(jsub)
-        spread = mid.matvec(current.sub_point(center))
+        newton, spread = _krawczyk_terms(system, base, center, current)
         k_parts = [
             Interval.point(c) - nw + sp
             for c, nw, sp in zip(center, newton.parts, spread.parts)

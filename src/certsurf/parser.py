@@ -17,9 +17,7 @@ suffixed ``= 0``; ``#`` starts a comment.
 
 from __future__ import annotations
 
-import math
 import re
-from fractions import Fraction
 
 from .errors import ParseError
 from .expr import Const, Expr, Sqrt, Var, add, div, mul, neg, power, sub
@@ -258,27 +256,3 @@ def parse_system(source: str) -> tuple[list[str], list[Expr]]:
         if e.max_var() >= len(variables):
             raise ParseError("equation uses undeclared variable index")
     return variables, equations
-
-
-def parse_rational(text: str) -> tuple[float, float]:
-    """Parse a decimal or p/q literal; return (nearest float, lower bound float).
-
-    The lower bound never exceeds the exact value, for settings where
-    rounding must err toward the smaller (stricter) side.
-    """
-    text = text.strip()
-    m = re.fullmatch(r"([+-]?\d+)\s*/\s*(\d+)", text)
-    try:
-        if m:
-            frac = Fraction(int(m.group(1)), int(m.group(2)))
-        else:
-            frac = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"invalid numeric literal {text!r}") from exc
-    nearest = float(frac)
-    if math.isinf(nearest):
-        raise ParseError(f"literal {text!r} overflows")
-    lower = nearest
-    if Fraction(nearest) > frac:
-        lower = math.nextafter(nearest, -math.inf)
-    return nearest, lower

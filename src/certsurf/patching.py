@@ -25,7 +25,6 @@ from .frames import CoordinateFrame, OrientedBox, obox_disjoint, tangent_align, 
 from .graph_cover import cover_graph
 from .intervals import Interval, IntervalBox, mul_up
 from .krawczyk import KrawczykResult, krawczyk_test, refine_fiber_root
-from .linalg import approx_inverse
 
 __all__ = [
     "CertifiedPatch",
@@ -37,6 +36,8 @@ __all__ = [
 ]
 
 _R_FLOOR_FACTOR = 2.0**-40
+_POLISH_TOL = 1e-12
+_POLISH_MAX_ITER = 50
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -45,7 +46,6 @@ class CertifiedPatch:
 
     frame: CoordinateFrame
     aligned: object  # the system rewritten in frame coordinates
-    a: np.ndarray
     r: float
     r_fiber: float  # upper bound on rho * r
     rho: float
@@ -94,23 +94,21 @@ class CertifiedPatch:
         return within(self.frame.world_to_local_box(world_box), self.slab_radii)
 
 
-def newton_polish(
-    system, start, *, tol: float = 1e-12, max_iter: int = 50
-) -> list[float]:
+def newton_polish(system, start) -> list[float]:
     """Least-squares Newton onto the zero set; raises if it does not land."""
     x = np.asarray([float(v) for v in start], dtype=float)
     if x.shape != (system.n,):
         raise ValueError(f"start point has {x.shape[0]} coords, system has {system.n}")
     scale = max(1.0, float(np.max(np.abs(x))))
     best = None
-    for _ in range(max_iter):
+    for _ in range(_POLISH_MAX_ITER):
         f = system.eval_point(list(x))
         resid = float(np.max(np.abs(f)))
         if not np.isfinite(resid):
             break
         if best is None or resid < best:
             best = resid
-        if resid <= tol * scale:
+        if resid <= _POLISH_TOL * scale:
             return [float(v) for v in x]
         jac = system.jacobian_point(list(x))
         step, *_ = np.linalg.lstsq(jac, f, rcond=None)
@@ -122,14 +120,7 @@ def newton_polish(
     )
 
 
-def certify_box(
-    system,
-    start,
-    r_initial: float,
-    rho: float,
-    *,
-    polish: bool = True,
-) -> CertifiedPatch:
+def certify_box(system, start, r_initial: float, rho: float) -> CertifiedPatch:
     """Certify a tangent-aligned box at (near) the given surface point.
 
     Halves the base radius until the contraction test passes; gives up
@@ -138,22 +129,20 @@ def certify_box(
     """
     if not r_initial > 0.0:
         raise ValueError(f"r_initial must be positive, got {r_initial}")
-    z = newton_polish(system, start) if polish else [float(v) for v in start]
+    z = newton_polish(system, start)
     frame, gsys = tangent_align(system, z)
     d, m = system.d, system.m
-    a = approx_inverse(gsys.jacobian_point([0.0] * system.n)[:, d:])
     zero_fiber = [0.0] * m
     r = float(r_initial)
     floor = r_initial * _R_FLOOR_FACTOR
     last = None
     while r > floor:
         base = IntervalBox([Interval(-r, r) for _ in range(d)])
-        res = krawczyk_test(gsys, base, zero_fiber, r, a, rho)
+        res = krawczyk_test(gsys, base, zero_fiber, r, rho)
         if res.passed:
             return CertifiedPatch(
                 frame=frame,
                 aligned=gsys,
-                a=a,
                 r=r,
                 r_fiber=mul_up(rho, r),
                 rho=float(rho),

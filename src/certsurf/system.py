@@ -37,7 +37,7 @@ def linear_form(coeffs: Sequence[float], constant: float) -> Expr:
 
 
 class _SystemBase:
-    """Shared slicing helpers over the subclasses' eval_box/jacobian_box."""
+    """Base/fiber split and change of frame, shared by both system kinds."""
 
     __slots__ = ()
 
@@ -47,18 +47,6 @@ class _SystemBase:
     @property
     def d(self) -> int:
         return self.n - self.m
-
-    def jacobian_sub_box(self, base_box: IntervalBox, fiber_box: IntervalBox) -> IntervalMatrix:
-        """Last m columns of the Jacobian over base_box x fiber_box (m x m)."""
-        full = self.jacobian_box(base_box.concat(fiber_box))
-        d = self.d
-        return IntervalMatrix([row[d:] for row in full.rows])
-
-    def jacobian_base_box(self, base_box: IntervalBox, fiber_box: IntervalBox) -> IntervalMatrix:
-        """First d columns of the Jacobian over base_box x fiber_box (m x d)."""
-        full = self.jacobian_box(base_box.concat(fiber_box))
-        d = self.d
-        return IntervalMatrix([row[:d] for row in full.rows])
 
     def transform(self, u, v, shift=None) -> "TransformedSystem":
         return TransformedSystem(self, u, v, shift)

@@ -67,8 +67,9 @@ def test_ratio_parse_rounds_toward_zero():
 
 
 def test_ratio_parse_rejects_garbage():
-    with pytest.raises(ConfigError):
-        parse_ratio_down("eight")
+    for text in ("eight", "1/0"):
+        with pytest.raises(ConfigError):
+            parse_ratio_down(text)
 
 
 def test_parse_config_reads_all_keys():
@@ -260,6 +261,71 @@ def test_verify_rejects_dropped_cells(saddle_export, tmp_path):
     report = verify_jsonl(bad)
     assert not report.ok and report.checked == 26
     assert report.failures == ["sheet 0 covers 1/2 of base_bounds, not all of it"]
+
+
+def test_verify_rejects_lowered_depth(saddle_export, tmp_path):
+    # three deepest cells dropped and a survivor's depth lowered by one keep
+    # every sheet measure at 1; the survivor's bounds give the forgery away
+    bad = tmp_path / "depth.jsonl"
+    forged = []
+
+    def lower(header, recs):
+        deep = max(r["depth"] for r in recs)
+        deepest = [r for r in recs if r["depth"] == deep]
+        for r in deepest[:3]:
+            recs.remove(r)
+        deepest[3]["depth"] = deep - 1
+        forged.append(deepest[3])
+        header["count"] = len(recs)
+
+    _rewrite(saddle_export, bad, lower)
+    report = verify_jsonl(bad)
+    assert report.checked == 49
+    cell = forged[0]
+    assert report.failures == [
+        f"cell {cell['id']}: bounds are not the depth-{cell['depth']} cell of base_bounds"
+    ]
+
+
+def test_verify_rejects_nested_cells(saddle_export, tmp_path):
+    # a copy of a depth-3 cell on its lower-left quarter replaces a depth-4
+    # cell elsewhere: the measure stays 1 and every certificate re-checks,
+    # but the dropped cell leaves a hole
+    bad = tmp_path / "nested.jsonl"
+    ids = []
+
+    def nest(header, recs):
+        outer = next(r for r in recs if r["depth"] == 3)
+        quarter = [[lo, Interval(lo, hi).midpoint()] for lo, hi in outer["bounds"]]
+        inner = dict(outer, id=len(recs), depth=4, bounds=quarter)
+        recs.remove(next(r for r in recs if r["depth"] == 4))
+        recs.append(inner)
+        ids.append(outer["id"])
+
+    _rewrite(saddle_export, bad, nest)
+    report = verify_jsonl(bad)
+    assert report.failures == [f"cell {ids[0]}: holds a smaller cell of sheet 0"]
+
+
+def test_verify_rejects_repeated_cell(saddle_export, tmp_path):
+    bad = tmp_path / "repeat.jsonl"
+
+    def repeat(header, recs):
+        recs.append(dict(recs[0], id=len(recs)))
+        header["count"] = len(recs)
+
+    _rewrite(saddle_export, bad, repeat)
+    report = verify_jsonl(bad)
+    assert "cell 52: repeats cell 0" in report.failures
+    assert not report.ok
+
+
+def test_verify_reports_record_without_certificate(saddle_export, tmp_path):
+    bad = tmp_path / "no_cert.jsonl"
+    _rewrite(saddle_export, bad, lambda header, recs: recs[5].pop("certificate"))
+    report = verify_jsonl(bad)
+    assert report.failures == ["cell 5: re-check could not run ('certificate')"]
+    assert cli_main(["verify", str(bad)]) == 2
 
 
 def test_verify_rejects_cell_outside_base(saddle_export, tmp_path):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -32,7 +31,7 @@ from certsurf.expr import (
     to_source,
 )
 from certsurf.intervals import Interval, IntervalBox
-from certsurf.parser import parse_expression, parse_rational, parse_system
+from certsurf.parser import parse_expression, parse_system
 
 XYZ = ["x", "y", "z"]
 
@@ -255,22 +254,6 @@ def test_parse_system_errors():
         parse_system("variables = x x\nx - 1")
     with pytest.raises(ParseError):
         parse_system("variables = x sqrt\nx - 1")
-
-
-def test_parse_rational():
-    nearest, lower = parse_rational("1/8")
-    assert nearest == 0.125 and lower == 0.125
-    nearest, lower = parse_rational("7/8")
-    assert nearest == 0.875 and lower == 0.875
-    nearest, lower = parse_rational("1/10")
-    assert Fraction(lower) <= Fraction(1, 10) <= Fraction(nearest) or lower == nearest
-    assert Fraction(lower) <= Fraction(1, 10)
-    nearest, lower = parse_rational("0.64")
-    assert Fraction(lower) <= Fraction(64, 100)
-    with pytest.raises(ParseError):
-        parse_rational("1/0")
-    with pytest.raises(ParseError):
-        parse_rational("abc")
 
 
 def test_parser_fuzz_never_crashes():

@@ -36,7 +36,7 @@ def test_tangent_align_off_axis_certifies():
     # the rotated frame pays a wrapping penalty relative to the pole, so
     # certification kicks in one halving later
     base = IntervalBox([Interval(-0.025, 0.025), Interval(-0.025, 0.025)])
-    res = krawczyk_test(g, base, [0.0], 0.025, np.array([[0.5]]), 0.125)
+    res = krawczyk_test(g, base, [0.0], 0.025, 0.125)
     assert res.passed
     assert 0.0024 <= res.norm_k <= 0.0025
 

@@ -139,8 +139,8 @@ def test_box_empty_propagation():
 
 def test_box_basicops():
     b = IntervalBox.from_center_radii([1.0, 2.0], [0.5, 0.25])
-    assert b.contains_point([1.2, 2.1])
-    assert not b.contains_point([1.6, 2.0])
+    assert b.contains_box(IntervalBox.point([1.2, 2.1]))
+    assert not b.contains_box(IntervalBox.point([1.6, 2.0]))
     m = b.midpoint()
     assert abs(m[0] - 1.0) < 1e-15 and abs(m[1] - 2.0) < 1e-15
     assert b.norm_up() >= 2.25

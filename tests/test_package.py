@@ -32,3 +32,19 @@ def test_no_private_cross_module_imports(name):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{name} imports private names from sibling modules"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_krawczyk_picks_preconditioners(name):
+    # the Krawczyk kernel computes its own preconditioner; nobody passes one in
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    if name == "certsurf.krawczyk":
+        assert "approx_inverse" in imported
+    else:
+        assert "approx_inverse" not in imported, f"{name} imports approx_inverse"

@@ -87,7 +87,7 @@ def test_certify_box_flat_sheet_radius(flat_pair):
 def test_certify_box_singular_point_raises():
     cone = AnalyticSystem.from_source("variables = x y z\nx^2 + y^2 - z^2 = 0\n")
     with pytest.raises(RankDeficientError):
-        certify_box(cone, [0.0, 0.0, 0.0], 0.1, 0.125, polish=False)
+        certify_box(cone, [0.0, 0.0, 0.0], 0.1, 0.125)
 
 
 def test_enclosure_and_uniqueness_geometry(sphere):
