@@ -137,7 +137,10 @@ def mul_up(a: float, b: float) -> float:
         return 0.0
     if a == 0.0 or b == 0.0 or math.isinf(a) or math.isinf(b):
         return p
-    return math.nextafter(p, _INF)  # overflow or underflow with finite operands
+    # overflow or underflow with finite nonzero operands; a negative
+    # product that underflows is bounded above by 0, never by +5e-324
+    up = math.nextafter(p, _INF)
+    return min(up, 0.0) if (a < 0.0) != (b < 0.0) else up
 
 
 def mul_down(a: float, b: float) -> float:
@@ -161,7 +164,8 @@ def mul_down(a: float, b: float) -> float:
         return 0.0
     if a == 0.0 or b == 0.0 or math.isinf(a) or math.isinf(b):
         return p
-    return math.nextafter(p, -_INF)
+    down = math.nextafter(p, -_INF)
+    return max(down, 0.0) if (a < 0.0) == (b < 0.0) else down
 
 
 def _div_is_exact(a: float, b: float, q: float) -> bool:

@@ -283,11 +283,12 @@ def _witness_shared_point(
     return dst.slab_holds(world)
 
 
+_MAX_ROUNDS = 30
 _MAX_PIECES = 20_000
 
 
 def component_test(
-    a: CertifiedPatch, b: CertifiedPatch, *, max_rounds: int = 30
+    a: CertifiedPatch, b: CertifiedPatch
 ) -> tuple[bool, list[OrientedBox], list[OrientedBox]]:
     """Decide whether two patches carry the same sheet where they overlap.
 
@@ -296,7 +297,8 @@ def component_test(
     are provably disjoint, and each refinement list is a certified cover
     of its patch's sheet with every cross pair of pieces provably disjoint
     (so the caller may replace a patch by its refinement).  Raises
-    CertificationError when neither can be shown within the round budget.
+    CertificationError when neither can be shown within ``_MAX_ROUNDS``
+    rounds and ``_MAX_PIECES`` pieces, or once no contested piece splits.
 
     Each round refines only contested pieces (those still touching a piece
     of the other patch), so the covers carry mixed resolutions and the
@@ -311,7 +313,8 @@ def component_test(
     if inclusion_test(a, b) or inclusion_test(b, a):
         return True, boxes(pieces_a), boxes(pieces_b)
 
-    for _ in range(max_rounds):
+    stop = f"the {_MAX_ROUNDS}-round limit"
+    for round_no in range(1, _MAX_ROUNDS + 1):
         contested = [
             (pa, pb)
             for pa in pieces_a
@@ -346,10 +349,12 @@ def component_test(
                     progressed = True
             pieces[:] = replacement
         if not progressed:
+            stop = "no contested piece could be split"
             break
         if len(pieces_a) + len(pieces_b) > _MAX_PIECES:
+            stop = f"the {_MAX_PIECES}-piece limit"
             break
     raise CertificationError(
         f"component question between patches at {a.frame.center} and"
-        f" {b.frame.center} undecided after {max_rounds} rounds"
+        f" {b.frame.center} undecided: stopped by {stop} in round {round_no}"
     )

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .frames import OrientedBox, obox_contains, obox_disjoint
 from .intervals import Interval, IntervalBox
-from .patching import CertifiedPatch, certify_box, component_test
+from .patching import CertifiedPatch, certify_box, component_test, inclusion_test
 from .system import AnalyticSystem, linear_form
 
 __all__ = [
@@ -481,7 +481,11 @@ def coverage_update(
     return removed_total
 
 
-def _clip_outside_domain(run: SurfaceRun, pid: int, max_depth: int = 12) -> None:
+# Bisection depth at which a straddling edge stretch is kept uncovered.
+_CLIP_MAX_DEPTH = 12
+
+
+def _clip_outside_domain(run: SurfaceRun, pid: int) -> None:
     """Strike edge portions that provably leave the query domain.
 
     Each uncovered piece is enclosed as a world box (edge segment thickened
@@ -509,7 +513,7 @@ def _clip_outside_domain(run: SurfaceRun, pid: int, max_depth: int = 12) -> None
                 if not box.overlaps(domain):
                     cov.subtract(axis, side, lo, hi)
                     continue
-                if domain.contains_box(box) or depth >= max_depth or hi - lo <= 2.0 * cov.floor:
+                if domain.contains_box(box) or depth >= _CLIP_MAX_DEPTH or hi - lo <= 2.0 * cov.floor:
                     continue
                 mid = 0.5 * (lo + hi)
                 stack.append((lo, mid, depth + 1))
@@ -551,14 +555,19 @@ def _spawn(
 ) -> int | None:
     """Certify a new patch just outside the edge and reconcile sheets.
 
-    The candidate is component-tested against every stored patch whose
-    enclosure slab its own slab touches; slabs that never meet cannot weld
-    sheets together, so no verdict is needed there.  Same-sheet verdicts
-    chain through the component structure, so only one representative per
-    proven component needs a fresh test.  A False verdict replaces that
-    stored patch with its refinement and retries at half the seed radius;
-    only when every touched component is provably same-sheet does the
-    candidate enter the run.
+    The candidate is reconciled with every stored patch whose enclosure
+    slab its own slab touches; slabs that never meet cannot weld sheets
+    together, so no verdict is needed there.  Same-sheet verdicts chain
+    through the component structure, so one weld per touched component
+    suffices.  Each component is first probed with the cheap
+    ``inclusion_test`` both ways against every member, nearest first, and
+    welds on the first success: that is the same condition on which
+    ``component_test`` answers True, so the proof is unchanged.  Only a
+    component with no such member goes through ``component_test``'s slab
+    refinement.  A False verdict replaces that stored patch with its
+    refinement and retries at half the seed radius; only when every
+    touched component is provably same-sheet does the candidate enter the
+    run.
     """
     target = run.patches[pid]
     assert target is not None
@@ -589,6 +598,18 @@ def _spawn(
                     )
                 )
             )
+            probed = next(
+                (
+                    other
+                    for other in members
+                    if inclusion_test(run.patches[other], candidate)
+                    or inclusion_test(candidate, run.patches[other])
+                ),
+                None,
+            )
+            if probed is not None:
+                passed.append(probed)
+                continue
             welded = False
             for other in members:
                 stored = run.patches[other]

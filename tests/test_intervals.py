@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certsurf.errors import IntervalDomainError
@@ -259,6 +259,19 @@ def test_mul_encloses_samples(x, y, t1, t2):
 
 @given(intervals(), intervals(), intervals(), intervals())
 @settings(max_examples=150)
+# products that underflow must not step across zero
+@example(
+    Interval(1.14891649751475e-66, 1.0),
+    Interval(0.0, 1.0),
+    Interval(2.2250738585072014e-308, 1.0),
+    Interval(0.0, 1.0),
+)
+@example(
+    Interval(-1.0, -1.14891649751475e-66),
+    Interval(-1.0, 0.0),
+    Interval(2.2250738585072014e-308, 1.0),
+    Interval(0.0, 1.0),
+)
 def test_inclusion_isotonic(a, b, c, d):
     x = a.hull(b)
     y = c.hull(d)

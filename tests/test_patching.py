@@ -15,6 +15,7 @@ Frozen expectations come from hand analysis of the model systems:
 import numpy as np
 import pytest
 
+from certsurf import patching
 from certsurf.errors import CertificationError, RankDeficientError
 from certsurf.frames import obox_disjoint
 from certsurf.intervals import IntervalBox
@@ -158,7 +159,7 @@ def test_component_fold_engaged_refinement(fold):
     assert not obox_disjoint(a.enclosure_box(), b.enclosure_box())
     assert not inclusion_test(a, b)
     assert not inclusion_test(b, a)
-    verdict, ref_a, ref_b = component_test(a, b, max_rounds=16)
+    verdict, ref_a, ref_b = component_test(a, b)
     assert verdict is False
     # refinement engaged: the contested side was actually subdivided
     assert len(ref_a) > 1 and len(ref_b) > 1
@@ -167,13 +168,22 @@ def test_component_fold_engaged_refinement(fold):
             assert obox_disjoint(sa, sb)
 
 
-def test_component_undecided_raises(fold):
+def test_component_undecided_raises(fold, monkeypatch):
     a = certify_box(fold, [0.0025, 0.0, 0.05], 0.1, 0.125)
     b = certify_box(fold, [0.0025, 0.0, -0.05], 0.1, 0.125)
     # the engaged case needs several rounds, so a tiny budget must refuse
-    # rather than guess
-    with pytest.raises(CertificationError):
-        component_test(a, b, max_rounds=1)
+    # rather than guess, and say which limit stopped it
+    monkeypatch.setattr(patching, "_MAX_ROUNDS", 1)
+    with pytest.raises(CertificationError, match="stopped by the 1-round limit in round 1$"):
+        component_test(a, b)
+
+
+def test_component_undecided_names_piece_limit(fold, monkeypatch):
+    a = certify_box(fold, [0.0025, 0.0, 0.05], 0.1, 0.125)
+    b = certify_box(fold, [0.0025, 0.0, -0.05], 0.1, 0.125)
+    monkeypatch.setattr(patching, "_MAX_PIECES", 2)
+    with pytest.raises(CertificationError, match="stopped by the 2-piece limit in round 1$"):
+        component_test(a, b)
 
 
 def test_component_many_nearby_sphere_patches(sphere):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from certsurf import surface
 from certsurf.errors import CertificationError
 from certsurf.frames import obox_disjoint
 from certsurf.intervals import Interval, IntervalBox
@@ -176,6 +177,21 @@ def test_sphere_run_truncated_patches_verify():
     # recorded verdicts all welded one component
     roots = {run.find(pid) for pid, _ in run.live_patches()}
     assert len(roots) == 1
+
+
+def test_fold_tip_welds_without_component_refinement(monkeypatch):
+    # The fold-tip benchmark input (seed 201): one candidate shares only a
+    # base edge with a stored patch, where no inclusion probe can hold, so
+    # it must weld through the patch it grew from before any refinement.
+    def refuse(*args):
+        raise AssertionError("component_test reached")
+
+    monkeypatch.setattr(surface, "component_test", refuse)
+    system = AnalyticSystem.from_source("variables = x y z\nx - z^2 = 0\n")
+    start = (2.998407269939363e-06, -0.1744004456673226, -0.0017315909649623848)
+    run = certified_surface_approximation(system, start, 0.1, 0.125, max_boxes=7)
+    assert run.truncated and run.live_count() == 7
+    assert len({run.find(pid) for pid, _ in run.live_patches()}) == 1
 
 
 def test_surface_requires_two_dimensional_variety():
