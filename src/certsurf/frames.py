@@ -205,15 +205,21 @@ def obox_contains(
     return within(_inner_local_image(outer, inner), outer.radii, axes)
 
 
-def _axis_projection(w: np.ndarray, box: OrientedBox) -> Interval:
-    """Rigorous interval enclosing {w . x : x in box}."""
-    iw = IntervalMatrix.from_floats([w])
-    center = iw.matvec(IntervalBox.point(box.center)).parts[0]
-    coeffs = iw.matmul(box.iv).rows[0]
-    total = center
-    for c, r in zip(coeffs, box.radii):
-        total = total + c * Interval(-r, r)
-    return total
+def _projections(axes: IntervalMatrix, box: OrientedBox) -> list[Interval]:
+    """Rigorous intervals enclosing {w . x : x in box}, one per row w of ``axes``.
+
+    Each sum starts at the centre term w . c and adds (w V)_j [-r_j, r_j]
+    in axis order; that order fixes every rounding step.
+    """
+    centers = axes.matvec(box.center).parts
+    coeffs = axes.matmul(box.iv).rows
+    spans = [Interval(-r, r) for r in box.radii]
+    out = []
+    for total, row in zip(centers, coeffs):
+        for c, span in zip(row, spans):
+            total = total + c * span
+        out.append(total)
+    return out
 
 
 def obox_disjoint(a: OrientedBox, b: OrientedBox) -> bool:
@@ -227,16 +233,15 @@ def obox_disjoint(a: OrientedBox, b: OrientedBox) -> bool:
     for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb):
         if ahi < blo or bhi < alo:
             return True
-    axes = [a.v[:, j] for j in range(a.n)] + [b.v[:, j] for j in range(b.n)]
+    axes = [a.v.T, b.v.T]
     if a.n == 3:
         for i in range(3):
             for j in range(3):
                 w = np.cross(a.v[:, i], b.v[:, j])
                 if np.max(np.abs(w)) > 1e-12:
                     axes.append(w)
-    for w in axes:
-        pa = _axis_projection(np.asarray(w, dtype=float), a)
-        pb = _axis_projection(np.asarray(w, dtype=float), b)
-        if pa.hi < pb.lo or pb.hi < pa.lo:
-            return True
-    return False
+    stacked = IntervalMatrix.from_floats(np.vstack(axes))
+    return any(
+        pa.hi < pb.lo or pb.hi < pa.lo
+        for pa, pb in zip(_projections(stacked, a), _projections(stacked, b))
+    )

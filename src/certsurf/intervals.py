@@ -12,6 +12,14 @@ factors for products and quotients), which keeps common cases like
 The empty interval is a distinct singleton ``EMPTY``; binary operations
 propagate it. Endpoints are extended reals: -inf/+inf mark unbounded
 sides. NaN endpoints never appear outside the sentinel.
+
+All interval products go through one kernel. ``_mul_endpoints`` is the
+one sign-case table; ``Interval.__mul__`` uses it, and so does ``_dot``,
+the one outward dot product, which ``IntervalMatrix.matvec`` and
+``IntervalMatrix.matmul`` share. ``_dot`` sums its terms left to right
+from 0 with ``add_down``/``add_up``. Directed rounding is not
+associative, so that fixed order is what keeps every enclosure, and
+every certificate built from one, bit-stable.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from typing import Iterable, Sequence
 from .errors import IntervalDomainError
 
 _INF = math.inf
-_NAN = math.nan
 _MAX = math.nextafter(_INF, 0.0)
 _DBL_MIN = 2.2250738585072014e-308
 _TWOSUM_GUARD = 8.9e307
@@ -407,29 +414,8 @@ class Interval:
             other = _coerce(other)
         if self.is_empty or other.is_empty:
             return EMPTY
-        a, b = self.lo, self.hi
-        c, d = other.lo, other.hi
-        # sign-case analysis; directed rounding keeps each case an enclosure
-        if a >= 0.0:
-            if c >= 0.0:
-                return Interval(mul_down(a, c), mul_up(b, d))
-            if d <= 0.0:
-                return Interval(mul_down(b, c), mul_up(a, d))
-            return Interval(mul_down(b, c), mul_up(b, d))
-        if b <= 0.0:
-            if c >= 0.0:
-                return Interval(mul_down(a, d), mul_up(b, c))
-            if d <= 0.0:
-                return Interval(mul_down(b, d), mul_up(a, c))
-            return Interval(mul_down(a, d), mul_up(a, c))
-        if c >= 0.0:
-            return Interval(mul_down(a, d), mul_up(b, d))
-        if d <= 0.0:
-            return Interval(mul_down(b, c), mul_up(a, c))
-        return Interval(
-            min(mul_down(a, d), mul_down(b, c)),
-            max(mul_up(a, c), mul_up(b, d)),
-        )
+        lo, hi = _mul_endpoints(self.lo, self.hi, other.lo, other.hi)
+        return Interval(lo, hi)
 
     __rmul__ = __mul__
 
@@ -503,6 +489,40 @@ def _coerce(x) -> Interval:
     if isinstance(x, (int, float)):
         return Interval.point(float(x))
     raise TypeError(f"cannot interpret {type(x).__name__} as an interval")
+
+
+def _mul_endpoints(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """Outward (lo, hi) of the product [a, b] * [c, d] of nonempty intervals."""
+    # sign-case analysis; directed rounding keeps each case an enclosure
+    if a >= 0.0:
+        if c >= 0.0:
+            return mul_down(a, c), mul_up(b, d)
+        if d <= 0.0:
+            return mul_down(b, c), mul_up(a, d)
+        return mul_down(b, c), mul_up(b, d)
+    if b <= 0.0:
+        if c >= 0.0:
+            return mul_down(a, d), mul_up(b, c)
+        if d <= 0.0:
+            return mul_down(b, d), mul_up(a, c)
+        return mul_down(a, d), mul_up(a, c)
+    if c >= 0.0:
+        return mul_down(a, d), mul_up(b, d)
+    if d <= 0.0:
+        return mul_down(b, c), mul_up(a, c)
+    return min(mul_down(a, d), mul_down(b, c)), max(mul_up(a, c), mul_up(b, d))
+
+
+def _dot(xs: Iterable[Interval], ys: Iterable[Interval]) -> Interval:
+    """Outward enclosure of sum(x * y), summed left to right from 0; EMPTY propagates."""
+    lo = hi = 0.0
+    for x, y in zip(xs, ys):
+        if x.lo != x.lo or y.lo != y.lo:
+            return EMPTY
+        t_lo, t_hi = _mul_endpoints(x.lo, x.hi, y.lo, y.hi)
+        lo = add_down(lo, t_lo)
+        hi = add_up(hi, t_hi)
+    return Interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +635,8 @@ class IntervalMatrix:
             for r in self.rows:
                 if len(r) != w:
                     raise ValueError("ragged interval matrix")
+                if not all(isinstance(a, Interval) for a in r):
+                    raise TypeError("IntervalMatrix entries must be Interval")
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalMatrix is immutable")
@@ -637,17 +659,6 @@ class IntervalMatrix:
         i, j = idx
         return self.rows[i][j]
 
-    def transpose(self) -> "IntervalMatrix":
-        m, n = self.shape
-        return IntervalMatrix([[self.rows[i][j] for i in range(m)] for j in range(n)])
-
-    def __add__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntervalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __sub__(self, other: "IntervalMatrix") -> "IntervalMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
@@ -655,52 +666,18 @@ class IntervalMatrix:
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __neg__(self) -> "IntervalMatrix":
-        return IntervalMatrix([[-a for a in row] for row in self.rows])
-
     def matvec(self, vec: IntervalBox | Sequence[float]) -> IntervalBox:
         if not isinstance(vec, IntervalBox):
             vec = IntervalBox.point([float(x) for x in vec])
-        m, n = self.shape
-        if vec.dim != n:
+        if vec.dim != self.shape[1]:
             raise ValueError("shape mismatch")
-        out = []
-        for row in self.rows:
-            # endpoint accumulators avoid per-term Interval churn
-            acc_lo = 0.0
-            acc_hi = 0.0
-            for a, x in zip(row, vec.parts):
-                t = a * x
-                if t.lo != t.lo:
-                    acc_lo = _NAN
-                    break
-                acc_lo = add_down(acc_lo, t.lo)
-                acc_hi = add_up(acc_hi, t.hi)
-            out.append(EMPTY if acc_lo != acc_lo else Interval(acc_lo, acc_hi))
-        return IntervalBox(out)
+        return IntervalBox([_dot(row, vec.parts) for row in self.rows])
 
     def matmul(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        m, n = self.shape
-        n2, p = other.shape
-        if n != n2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
-        cols = other.transpose().rows
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc_lo = 0.0
-                acc_hi = 0.0
-                for a, b in zip(row, col):
-                    t = a * b
-                    if t.lo != t.lo:
-                        acc_lo = _NAN
-                        break
-                    acc_lo = add_down(acc_lo, t.lo)
-                    acc_hi = add_up(acc_hi, t.hi)
-                out_row.append(EMPTY if acc_lo != acc_lo else Interval(acc_lo, acc_hi))
-            out.append(out_row)
-        return IntervalMatrix(out)
+        cols = list(zip(*other.rows))
+        return IntervalMatrix([[_dot(row, col) for col in cols] for row in self.rows])
 
     def norm_inf_up(self) -> float:
         """Upper bound on the max absolute row sum over all point matrices inside."""

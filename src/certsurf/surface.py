@@ -321,6 +321,13 @@ def _facet_slab(
     z_world = _edge_exit_point(target, axis, side, t_hat)
     if z_world is None:
         return None
+    # every certification below starts from this probe, and halving only
+    # helps a slab that hangs over an edge of the container: a probe outside
+    # the container's cube stays outside at any radius.  Giving up here is
+    # safe, since the stretch stays in the uncovered ledger.
+    probe = container.frame.world_to_local_box(IntervalBox.point(z_world))
+    if any(p.hi < -container.r or p.lo > container.r for p in probe.parts):
+        return None
     facet_sys = run.facet_system(target_id, axis, side)
     target_cube = run.cube(target_id)
     container_cube = run.cube(container_id)
@@ -348,16 +355,6 @@ def _facet_slab(
             covered = _covered_interval(target, 1 - axis, e_patch)
             if covered is not None:
                 return covered
-            return None
-        # halving only helps when the slab hangs over an edge of the
-        # container; a center outside it stays outside at any radius
-        center_in = container.frame.world_to_local_box(
-            IntervalBox.point(e_cube.center)
-        )
-        if any(
-            p.hi < -r or p.lo > r
-            for p, r in zip(center_in.parts, (container.r,) * container.n)
-        ):
             return None
         r_try = 0.5 * e_patch.r
     return None
@@ -633,7 +630,7 @@ def _spawn(
                     f"cannot separate or join sheets near {tuple(round(c, 6) for c in z_world)}"
                 )
             continue
-        if not conflicts and not aborted:
+        if not conflicts:
             new_pid = run.add(candidate)
             for other in passed:
                 run.verdicts[frozenset((new_pid, other))] = True

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from certsurf.frames import OrientedBox, obox_contains, obox_disjoint, tangent_align
-from certsurf.intervals import Interval, IntervalBox
+from certsurf.intervals import Interval, IntervalBox, IntervalMatrix
 from certsurf.krawczyk import krawczyk_test
 from certsurf.system import AnalyticSystem
 
@@ -109,10 +109,11 @@ def test_obox_disjoint_rotated_pair():
     b = OrientedBox.make([1.42, 0.0, 0.0], _rot_z(np.pi / 4), [0.5, 0.5, 0.5])
     assert obox_disjoint(a, b)
     # certified gap along e1 matches the closed form 1.42 - (1+sqrt(2))/2
-    from certsurf.frames import _axis_projection
+    from certsurf.frames import _projections
 
-    pa = _axis_projection(np.array([1.0, 0.0, 0.0]), a)
-    pb = _axis_projection(np.array([1.0, 0.0, 0.0]), b)
+    e1 = IntervalMatrix.from_floats([[1.0, 0.0, 0.0]])
+    (pa,) = _projections(e1, a)
+    (pb,) = _projections(e1, b)
     gap = pb.lo - pa.hi
     assert 0.2128 <= gap <= 0.2130
 

@@ -163,6 +163,12 @@ def test_matrix_sign_flip():
     assert out == IntervalBox([iv(-2, -1), iv(3, 4)])
 
 
+def test_matrix_rejects_non_interval_entries():
+    # the product kernel reads endpoints directly, so floats must be wrapped
+    with pytest.raises(TypeError):
+        IntervalMatrix([[0.5]])
+
+
 def test_matrix_norm_inf():
     m = IntervalMatrix([[iv(-2, 1), iv(0, 3)], [iv(1, 1), iv(-1, -1)]])
     assert m.norm_inf_up() == 5.0
@@ -224,6 +230,59 @@ def test_fuzz_pow_against_rational_oracle():
             p = _sample(rng, a)
             exact = _frac(p) ** k
             assert _frac(res.lo) <= exact <= _frac(res.hi)
+
+
+def _random_entry(rng: random.Random) -> Interval:
+    kind = rng.random()
+    if kind < 0.1:
+        return EMPTY
+    a = rng.uniform(-10.0, 10.0)
+    if kind < 0.4:
+        return Interval.point(a)
+    if kind < 0.7:
+        return Interval(-rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+    b = rng.uniform(-10.0, 10.0)
+    return Interval(min(a, b), max(a, b))
+
+
+def _random_matrix(rng: random.Random, m: int, n: int) -> list[list[Interval]]:
+    return [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+
+
+def _bits(x: Interval):
+    return None if x.is_empty else (x.lo.hex(), x.hi.hex())
+
+
+def _check_dot(rng: random.Random, got: Interval, xs, ys) -> None:
+    # bit-equal to the scalar reference, summed left to right from 0
+    ref = sum((x * y for x, y in zip(xs, ys)), Interval(0.0, 0.0))
+    assert _bits(got) == _bits(ref)
+    if got.is_empty:
+        assert any(v.is_empty for v in list(xs) + list(ys))
+        return
+    for _ in range(4):
+        exact = sum(
+            (_frac(_sample(rng, x)) * _frac(_sample(rng, y)) for x, y in zip(xs, ys)),
+            Fraction(0),
+        )
+        assert _frac(got.lo) <= exact <= _frac(got.hi)
+
+
+def test_matvec_matmul_match_scalar_reference():
+    rng = random.Random(4711)
+    for _ in range(300):
+        m, n, p = (rng.randint(1, 3) for _ in range(3))
+        a = _random_matrix(rng, m, n)
+        b = _random_matrix(rng, n, p)
+        vec = [_random_entry(rng) for _ in range(n)]
+        out = IntervalMatrix(a).matvec(IntervalBox(vec))
+        for i in range(m):
+            _check_dot(rng, out[i], a[i], vec)
+        prod = IntervalMatrix(a).matmul(IntervalMatrix(b))
+        assert prod.shape == (m, p)
+        for i in range(m):
+            for j in range(p):
+                _check_dot(rng, prod[i, j], a[i], [b[k][j] for k in range(n)])
 
 
 # ---------------------------------------------------------------------------

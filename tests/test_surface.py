@@ -13,6 +13,7 @@ from certsurf.surface import (
     SurfaceRun,
     _clip_outside_domain,
     _edge_exit_point,
+    _facet_slab,
     certified_surface_approximation,
     coverage_update,
     post_process_trim,
@@ -108,6 +109,21 @@ def test_coverage_update_ignores_far_patch():
     ib = run.add(b)
     assert coverage_update(run, ia, ib) == 0.0
     assert all(pieces == [(-0.1, 0.1)] for pieces in run.coverage[ia].edges.values())
+
+
+def test_facet_slab_skips_container_that_misses_the_probe(monkeypatch):
+    # the container's cube lies far from the edge probe, so no slab
+    # certified from there can sit inside it; nothing is certified
+    def refuse(*args):
+        raise AssertionError("certify_box reached")
+
+    run = SurfaceRun(system=PLANE, rho=0.125, r_initial=0.1)
+    a = certify_box(PLANE, (0.0, 0.0, 0.0), 0.1, 0.125)
+    far = certify_box(PLANE, tuple(a.frame.to_world([5.0, 0.0, 0.0])), 0.1, 0.125)
+    ia = run.add(a)
+    ifar = run.add(far)
+    monkeypatch.setattr(surface, "certify_box", refuse)
+    assert _facet_slab(run, ia, ifar, 0, 1, 0.0, 0.05) is None
 
 
 def test_domain_clip_strikes_outside_edge():
