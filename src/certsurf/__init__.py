@@ -16,7 +16,7 @@ from .errors import (
     RankDeficientError,
     RefinementStalledError,
 )
-from .intervals import EMPTY, Interval, IntervalBox, IntervalMatrix
+from .intervals import Interval, IntervalBox, IntervalMatrix
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "CertificationError",
     "CertsurfError",
     "ConfigError",
-    "EMPTY",
     "Interval",
     "IntervalBox",
     "IntervalDomainError",

@@ -3,8 +3,8 @@
 Three subcommands: ``approximate`` grows a certified box cover from a
 start point, ``graph`` certifies the zero set as graphs over a base
 rectangle, and ``verify`` re-runs every certificate in an exported file.
-Exit codes: 0 success, 2 certification or verification failure, 3 input
-error.
+Exit codes: 0 success, 2 certification (domain errors included) or
+verification failure, 3 input error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 
 from .config import RunConfig, load_config, parse_ratio, parse_ratio_down
-from .errors import CertificationError, ConfigError, LinearAlgebraError, ParseError
+from .errors import ATTEMPT_ERRORS, ConfigError, ParseError
 from .exports import (
     verify_jsonl,
     write_graph_jsonl,
@@ -32,7 +32,6 @@ EXIT_CERT = 2
 EXIT_INPUT = 3
 
 _INPUT_ERRORS = (ConfigError, ParseError, OSError, ValueError, json.JSONDecodeError)
-_CERT_ERRORS = (CertificationError, LinearAlgebraError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,7 +128,7 @@ def _cmd_approximate(args) -> int:
             max_boxes=cfg.max_boxes,
         )
         post_process_trim(run)
-    except _CERT_ERRORS as exc:
+    except ATTEMPT_ERRORS as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERT
     live = run.live_count()
@@ -163,7 +162,7 @@ def _cmd_graph(args) -> int:
         kwargs["max_cells"] = cfg.max_boxes
     try:
         cover = cover_graph(system, base_bounds, fiber, cfg.rho, **kwargs)
-    except _CERT_ERRORS as exc:
+    except ATTEMPT_ERRORS as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERT
     print(f"{len(cover.cells)} certified cells over {cover.sheets} sheet(s)")

@@ -46,3 +46,9 @@ class CertificationError(CertsurfError):
 
 class RefinementStalledError(CertificationError):
     """A contraction iteration stopped making progress above the target accuracy."""
+
+
+# The errors that mean "this certification attempt proved nothing": a caller
+# that runs an attempt treats any of them as a failed attempt, never as a
+# pass, and either tries something else or reports the failure.
+ATTEMPT_ERRORS = (CertificationError, LinearAlgebraError, IntervalDomainError)

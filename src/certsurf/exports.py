@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, IntervalDomainError, LinearAlgebraError
+from .errors import ATTEMPT_ERRORS
 from .expr import to_source
 from .graph_cover import sheet_measures
 from .intervals import Interval, IntervalBox
@@ -37,14 +37,7 @@ FORMAT_VERSION = 1
 # halving a float range more often than this leaves no float between its ends
 _MAX_DEPTH = 2100
 
-_CHECK_ERRORS = (
-    CertificationError,
-    IntervalDomainError,
-    LinearAlgebraError,
-    ValueError,
-    KeyError,
-    TypeError,
-)
+_CHECK_ERRORS = ATTEMPT_ERRORS + (ValueError, KeyError, TypeError)
 
 
 def _system_fields(system) -> dict:

@@ -77,8 +77,7 @@ class Var(Expr):
         return coords[self.index]
 
     def eval_interval(self, box):
-        x = box[self.index]
-        return x if isinstance(x, Interval) else Interval.point(x)
+        return box[self.index]
 
     def derivative(self, var):
         return Const(1.0 if var == self.index else 0.0)
@@ -199,7 +198,15 @@ class Pow(Expr):
         self.exponent = exponent
 
     def eval_point(self, coords):
-        return self.base.eval_point(coords) ** self.exponent
+        v = self.base.eval_point(coords)
+        k = self.exponent
+        if v == 0.0 and k < 0:
+            raise IntervalDomainError("division by zero")
+        try:
+            return v ** k
+        except OverflowError:
+            # like the product v * v * ... it stands for: inf with the power's sign
+            return -math.inf if v < 0.0 and k % 2 else math.inf
 
     def eval_interval(self, box):
         return self.base.eval_interval(box).power(self.exponent)

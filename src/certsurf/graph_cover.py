@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificationError, LinearAlgebraError, RefinementStalledError
+from .errors import ATTEMPT_ERRORS, CertificationError, LinearAlgebraError, RefinementStalledError
 from .intervals import Interval, IntervalBox
 from .krawczyk import KrawczykResult, krawczyk_test, refine_fiber_root
 
@@ -253,7 +253,7 @@ def cover_graph(
                     r2,
                     rho,
                 )
-            except (LinearAlgebraError, CertificationError):
+            except ATTEMPT_ERRORS:
                 res = None
             if res is not None and res.passed:
                 cells.append(

@@ -9,9 +9,13 @@ detected cheaply (error-free transformations for sums, power-of-two
 factors for products and quotients), which keeps common cases like
 ``[1,2] + [3,4]`` or ``0.5 * [1.9, 2.1]`` tight to the last bit.
 
-The empty interval is a distinct singleton ``EMPTY``; binary operations
-propagate it. Endpoints are extended reals: -inf/+inf mark unbounded
-sides. NaN endpoints never appear outside the sentinel.
+Every ``Interval`` is nonempty: its endpoints are extended reals (-inf
+and +inf mark unbounded sides), never NaN, with ``lo <= hi``. The
+constructor alone enforces this, and every operation returns an interval
+built by it, so no operation has an empty or NaN case to handle. Set
+intersection is the one operation that can come out empty; it returns
+None then, and its callers stop there. Operands are intervals, never
+floats: wrap a float with ``Interval.point``.
 
 All interval products go through one kernel. ``_mul_endpoints`` is the
 one sign-case table; ``Interval.__mul__`` uses it, and so does ``_dot``,
@@ -271,7 +275,7 @@ def pow_down(x: float, k: int) -> float:
 
 
 class Interval:
-    """Closed interval [lo, hi] of extended reals, or the EMPTY sentinel."""
+    """Closed, nonempty interval [lo, hi] of extended reals."""
 
     __slots__ = ("lo", "hi")
 
@@ -285,12 +289,6 @@ class Interval:
 
     def __setattr__(self, name, value):
         raise AttributeError("Interval is immutable")
-
-    # EMPTY is created below by bypassing __init__.
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo != self.lo
 
     @staticmethod
     def point(x: float) -> "Interval":
@@ -306,31 +304,19 @@ class Interval:
     # -- queries ------------------------------------------------------------
 
     def contains(self, x: float) -> bool:
-        return (not self.is_empty) and self.lo <= x <= self.hi
+        return self.lo <= x <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
         return self.lo <= other.lo and other.hi <= self.hi
 
     def strictly_contains(self, other: "Interval") -> bool:
-        if other.is_empty:
-            return not self.is_empty
-        if self.is_empty:
-            return False
         return self.lo < other.lo and other.hi < self.hi
 
     def overlaps(self, other: "Interval") -> bool:
-        if self.is_empty or other.is_empty:
-            return False
         return self.lo <= other.hi and other.lo <= self.hi
 
     def midpoint(self) -> float:
         """A representable point inside the interval."""
-        if self.is_empty:
-            raise ValueError("empty interval has no midpoint")
         if self.lo == -_INF and self.hi == _INF:
             return 0.0
         if self.lo == -_INF:
@@ -343,86 +329,47 @@ class Interval:
         return min(max(m, self.lo), self.hi)
 
     def radius_up(self) -> float:
-        if self.is_empty:
-            return 0.0
         return mul_up(0.5, sub_up(self.hi, self.lo))
 
     def mag(self) -> float:
         """max |x| over the interval (exact; abs and max do not round)."""
-        if self.is_empty:
-            return 0.0
         return max(abs(self.lo), abs(self.hi))
 
     def mig(self) -> float:
         """min |x| over the interval."""
-        if self.is_empty:
-            return 0.0
         if self.lo <= 0.0 <= self.hi:
             return 0.0
         return min(abs(self.lo), abs(self.hi))
 
     # -- lattice ------------------------------------------------------------
 
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
-            return EMPTY
+    def intersect(self, other: "Interval") -> "Interval | None":
+        """The common part of two intervals, or None when they are disjoint."""
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         if lo > hi:
-            return EMPTY
+            return None
         return Interval(lo, hi)
 
-    def hull(self, other: "Interval") -> "Interval":
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def inflate(self, r: float) -> "Interval":
-        if self.is_empty:
-            return EMPTY
         return Interval(sub_down(self.lo, r), add_up(self.hi, r))
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Interval):
-            other = _coerce(other)
-        if self.is_empty or other.is_empty:
-            return EMPTY
+    def __add__(self, other: "Interval") -> "Interval":
         return Interval(add_down(self.lo, other.lo), add_up(self.hi, other.hi))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.is_empty:
-            return EMPTY
+    def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if self.is_empty or other.is_empty:
-            return EMPTY
+    def __sub__(self, other: "Interval") -> "Interval":
         return Interval(sub_down(self.lo, other.hi), sub_up(self.hi, other.lo))
 
-    def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        if not isinstance(other, Interval):
-            other = _coerce(other)
-        if self.is_empty or other.is_empty:
-            return EMPTY
+    def __mul__(self, other: "Interval") -> "Interval":
         lo, hi = _mul_endpoints(self.lo, self.hi, other.lo, other.hi)
         return Interval(lo, hi)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if self.is_empty or other.is_empty:
-            return EMPTY
+    def __truediv__(self, other: "Interval") -> "Interval":
         if other.lo <= 0.0 <= other.hi:
             raise IntervalDomainError(f"division by interval containing zero: {other}")
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
@@ -430,12 +377,7 @@ class Interval:
         hi = max(div_up(a, c), div_up(a, d), div_up(b, c), div_up(b, d))
         return Interval(lo, hi)
 
-    def __rtruediv__(self, other):
-        return _coerce(other).__truediv__(self)
-
     def sqrt(self) -> "Interval":
-        if self.is_empty:
-            return EMPTY
         if self.lo < 0.0:
             raise IntervalDomainError(f"sqrt of interval reaching below zero: {self}")
         return Interval(sqrt_down(self.lo), sqrt_up(self.hi))
@@ -444,8 +386,6 @@ class Interval:
         """Tight monomial x**k over the interval (even powers land in [0, inf))."""
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        if self.is_empty:
-            return EMPTY
         if k == 0:
             return Interval(1.0, 1.0)
         if k < 0:
@@ -462,37 +402,17 @@ class Interval:
     def __eq__(self, other):
         if not isinstance(other, Interval):
             return NotImplemented
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
         return self.lo == other.lo and self.hi == other.hi
 
     def __hash__(self):
-        if self.is_empty:
-            return hash("certsurf-empty-interval")
         return hash((self.lo, self.hi))
 
     def __repr__(self):
-        if self.is_empty:
-            return "Interval.EMPTY"
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
-EMPTY: Interval = Interval.__new__(Interval)
-object.__setattr__(EMPTY, "lo", math.nan)
-object.__setattr__(EMPTY, "hi", math.nan)
-Interval.EMPTY = EMPTY  # type: ignore[attr-defined]
-
-
-def _coerce(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    if isinstance(x, (int, float)):
-        return Interval.point(float(x))
-    raise TypeError(f"cannot interpret {type(x).__name__} as an interval")
-
-
 def _mul_endpoints(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """Outward (lo, hi) of the product [a, b] * [c, d] of nonempty intervals."""
+    """Outward (lo, hi) of the product [a, b] * [c, d]."""
     # sign-case analysis; directed rounding keeps each case an enclosure
     if a >= 0.0:
         if c >= 0.0:
@@ -514,11 +434,9 @@ def _mul_endpoints(a: float, b: float, c: float, d: float) -> tuple[float, float
 
 
 def _dot(xs: Iterable[Interval], ys: Iterable[Interval]) -> Interval:
-    """Outward enclosure of sum(x * y), summed left to right from 0; EMPTY propagates."""
+    """Outward enclosure of sum(x * y), summed left to right from 0."""
     lo = hi = 0.0
     for x, y in zip(xs, ys):
-        if x.lo != x.lo or y.lo != y.lo:
-            return EMPTY
         t_lo, t_hi = _mul_endpoints(x.lo, x.hi, y.lo, y.hi)
         lo = add_down(lo, t_lo)
         hi = add_up(hi, t_hi)
@@ -530,7 +448,7 @@ def _dot(xs: Iterable[Interval], ys: Iterable[Interval]) -> Interval:
 
 
 class IntervalBox:
-    """A finite product of intervals. Empty if any component is empty."""
+    """A finite product of intervals."""
 
     __slots__ = ("parts",)
 
@@ -557,10 +475,6 @@ class IntervalBox:
     def dim(self) -> int:
         return len(self.parts)
 
-    @property
-    def is_empty(self) -> bool:
-        return any(p.is_empty for p in self.parts)
-
     def __getitem__(self, i: int) -> Interval:
         return self.parts[i]
 
@@ -570,15 +484,17 @@ class IntervalBox:
     def __len__(self):
         return len(self.parts)
 
-    def intersect(self, other: "IntervalBox") -> "IntervalBox":
+    def intersect(self, other: "IntervalBox") -> "IntervalBox | None":
+        """The common part of two boxes, or None when they are disjoint."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return IntervalBox(a.intersect(b) for a, b in zip(self.parts, other.parts))
-
-    def hull(self, other: "IntervalBox") -> "IntervalBox":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return IntervalBox(a.hull(b) for a, b in zip(self.parts, other.parts))
+        parts = []
+        for a, b in zip(self.parts, other.parts):
+            p = a.intersect(b)
+            if p is None:
+                return None
+            parts.append(p)
+        return IntervalBox(parts)
 
     def contains_box(self, other: "IntervalBox") -> bool:
         return all(a.contains_interval(b) for a, b in zip(self.parts, other.parts))
@@ -592,13 +508,8 @@ class IntervalBox:
     def radii_up(self) -> list[float]:
         return [p.radius_up() for p in self.parts]
 
-    def inflate(self, r: float) -> "IntervalBox":
-        return IntervalBox(p.inflate(r) for p in self.parts)
-
     def norm_up(self) -> float:
         """Upper bound on the sup norm over the box."""
-        if self.is_empty:
-            return 0.0
         return max((p.mag() for p in self.parts), default=0.0)
 
     def sub_point(self, coords: Sequence[float]) -> "IntervalBox":

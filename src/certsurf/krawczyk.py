@@ -114,7 +114,7 @@ def _slice_value_enclosure(
     spread = jb.matvec(base_box.sub_point(base_mid))
     mean_value = IntervalBox([t + s for t, s in zip(thin.parts, spread.parts)])
     out = direct.intersect(mean_value)
-    if out.is_empty:
+    if out is None:
         # both are enclosures of one nonempty set; empty intersection can
         # only come from a contract violation upstream
         raise CertificationError("inconsistent slice enclosures")
@@ -142,8 +142,6 @@ def refine_fiber_root(
     base = IntervalBox.point(base_point)
     if len(base) != system.d or len(fiber_box) != system.m:
         raise ValueError("base/fiber split does not match the system")
-    if fiber_box.is_empty:
-        raise ValueError("empty starting bracket")
 
     scale = max(1.0, fiber_box.norm_up())
     accuracy = max(float(accuracy), 1e-13 * scale)
@@ -163,7 +161,7 @@ def refine_fiber_root(
         if all(cur.strictly_contains(k) for cur, k in zip(current.parts, k_box.parts)):
             proven = True
         nxt = current.intersect(k_box)
-        if nxt.is_empty:
+        if nxt is None:
             raise RefinementStalledError(
                 "fiber bracket emptied out; no zero on this slice"
             )

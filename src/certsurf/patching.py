@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    LinearAlgebraError,
-    RefinementStalledError,
-)
+from .errors import ATTEMPT_ERRORS, CertificationError
 from .frames import CoordinateFrame, OrientedBox, obox_disjoint, tangent_align, within
 from .graph_cover import cover_graph
 from .intervals import Interval, IntervalBox, mul_up
@@ -160,16 +156,13 @@ def certify_box(system, start, r_initial: float, rho: float) -> CertifiedPatch:
 # same-sheet and disjointness predicates
 
 
-_PROBE_ERRORS = (RefinementStalledError, LinearAlgebraError, CertificationError)
-
-
 def _base_overlap_in(a: CertifiedPatch, b: CertifiedPatch) -> list[Interval] | None:
     """Overlap of b's slab with a's base square, in a's base coordinates."""
     image = a.frame.world_to_local_box(b.enclosure_box().world_hull())
     out = []
     for k in range(a.d):
         piece = image.parts[k].intersect(Interval(-a.r, a.r))
-        if piece.is_empty:
+        if piece is None:
             return None
         out.append(piece)
     return out
@@ -202,7 +195,7 @@ def inclusion_test(a: CertifiedPatch, b: CertifiedPatch) -> bool:
     for x_hat in probes:
         try:
             world = a.sheet_point(x_hat, a.r_fiber, accuracy)
-        except _PROBE_ERRORS:
+        except ATTEMPT_ERRORS:
             continue
         if b.slab_holds(world):
             return True
@@ -254,7 +247,7 @@ def _split_piece(patch: CertifiedPatch, piece: SlabPiece) -> list[SlabPiece] | N
             max_cells=4096,
             max_depth=60,
         )
-    except (CertificationError, LinearAlgebraError):
+    except ATTEMPT_ERRORS:
         return None
     out = []
     for cell in cover.cells:
@@ -278,7 +271,7 @@ def _witness_shared_point(
     accuracy = max(dst.r_fiber * dst.r_fiber, 1e-14 * max(1.0, dst.r))
     try:
         world = src.sheet_point(x_hat, src.r, accuracy)
-    except _PROBE_ERRORS:
+    except ATTEMPT_ERRORS:
         return False
     return dst.slab_holds(world)
 

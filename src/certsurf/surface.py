@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    IntervalDomainError,
-    LinearAlgebraError,
-    RefinementStalledError,
-)
+from .errors import ATTEMPT_ERRORS, CertificationError
 from .frames import OrientedBox, obox_contains, obox_disjoint
 from .intervals import Interval, IntervalBox
 from .patching import CertifiedPatch, certify_box, component_test, inclusion_test
@@ -35,13 +30,6 @@ __all__ = [
     "coverage_update",
     "post_process_trim",
 ]
-
-_ATTEMPT_ERRORS = (
-    CertificationError,
-    LinearAlgebraError,
-    RefinementStalledError,
-    IntervalDomainError,
-)
 
 # Slivers narrower than this fraction of the half-width are dropped from
 # the uncovered ledger; anything the marching loop could still act on is
@@ -281,7 +269,7 @@ def _covered_interval(
     for s in (-1.0, 1.0):
         try:
             world = e_patch.sheet_point([s * e_patch.r], e_patch.r_fiber, accuracy)
-        except _ATTEMPT_ERRORS:
+        except ATTEMPT_ERRORS:
             return None
         ends.append(target.frame.world_to_local_box(world).parts[along])
     ends.sort(key=lambda piece: piece.midpoint())
@@ -338,7 +326,7 @@ def _facet_slab(
     for _ in range(4):
         try:
             e_patch = certify_box(facet_sys, z_world, r_try, run.rho)
-        except _ATTEMPT_ERRORS:
+        except ATTEMPT_ERRORS:
             return None
         if e_patch.r < progress_floor:
             return None
@@ -378,7 +366,7 @@ def _container_reach(
         return None
     span = image.parts[1 - axis]
     reach = span.intersect(Interval(-target.r, target.r))
-    if reach.is_empty:
+    if reach is None:
         return None
     depth = min(edge_coord - pinned.lo, pinned.hi - edge_coord)
     return reach, span, depth
@@ -534,7 +522,7 @@ def _replace_with_refinements(
         r_seed = max(box.radii[: parent.d])
         try:
             piece = certify_box(run.system, box.center, r_seed, run.rho)
-        except _ATTEMPT_ERRORS as exc:
+        except ATTEMPT_ERRORS as exc:
             raise CertificationError(
                 f"replacement piece near {tuple(round(c, 6) for c in box.center)} "
                 f"failed to certify: {exc}"
@@ -575,7 +563,7 @@ def _spawn(
     for _ in range(8):
         try:
             candidate = certify_box(run.system, z_world, seed, run.rho)
-        except _ATTEMPT_ERRORS:
+        except ATTEMPT_ERRORS:
             return None
         cand_slab = candidate.enclosure_box()
         cand_center = np.asarray(candidate.frame.center)

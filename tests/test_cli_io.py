@@ -500,3 +500,65 @@ def test_cli_bad_config_exits_3(tmp_path):
 def test_cli_usage_error_exits_3(capsys):
     assert cli_main(["frobnicate"]) == 3
     capsys.readouterr()
+
+
+def test_cli_graph_certifies_around_a_domain_error(tmp_path):
+    # the root cell's Jacobian divides by an enclosure of sqrt(...) reaching 0;
+    # that cell fails like any other attempt and is split
+    out_json = tmp_path / "sqrt.jsonl"
+    code = cli_main(
+        [
+            "graph",
+            "--variables",
+            "x y",
+            "--equation",
+            "y - sqrt(x^2 - x + 1)",
+            "--domain",
+            "0 1 -10 10",
+            "--out-json",
+            str(out_json),
+        ]
+    )
+    assert code == 0
+    assert cli_main(["verify", str(out_json)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every cell at x = 0 divides by sqrt(x) in the Jacobian
+        ["graph", "--variables", "x y", "--equation", "y - sqrt(x)", "--domain", "0 1 -10 10"],
+        # sqrt of a negative value at the start point
+        [
+            "approximate",
+            "--variables",
+            "x y z",
+            "--equation",
+            "sqrt(x) + y^2 + z^2 - 1",
+            "--start",
+            "-0.5 0 0",
+            "--r",
+            "0.1",
+            "--rho",
+            "1/8",
+            "--max-boxes",
+            "3",
+        ],
+        # 0 to a negative power at the start point
+        ["approximate", "--variables", "x y z", "--equation", "z - x^(-2)", "--start", "0 0 0"],
+        # a power that overflows at the start point
+        [
+            "approximate",
+            "--variables",
+            "x y z",
+            "--equation",
+            "x^3 + y^2 + z^2 - 1",
+            "--start",
+            "1e110 0 0",
+        ],
+    ],
+    ids=["graph-sqrt-at-zero", "start-sqrt-negative", "start-zero-negative-power", "start-overflow"],
+)
+def test_cli_domain_errors_exit_2(argv, capsys):
+    assert cli_main(argv) == 2
+    assert "certification failed" in capsys.readouterr().err

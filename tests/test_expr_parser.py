@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certsurf.errors import ParseError
+from certsurf.errors import IntervalDomainError, ParseError
 from certsurf.expr import (
     Add,
     Const,
@@ -83,6 +84,18 @@ def test_pow_rules():
     for bad in ("x^0.5", "x^y", "x^(1/2)", "x^2^3", "x^-2"):
         with pytest.raises(ParseError):
             parse_expression(bad, XYZ)
+
+
+def test_pow_point_eval_stays_in_the_error_hierarchy():
+    # 0 to a negative power is a division by zero, as for Div
+    with pytest.raises(IntervalDomainError):
+        Pow(Var(0), -2).eval_point([0.0])
+    # an overflowing power is inf with the power's sign, as repeated products are
+    assert Pow(Var(0), 3).eval_point([1e110]) == math.inf
+    assert Pow(Var(0), 3).eval_point([-1e110]) == -math.inf
+    assert Pow(Var(0), 4).eval_point([-1e110]) == math.inf
+    assert Pow(Var(0), -3).eval_point([-1e-110]) == -math.inf
+    assert Pow(Var(0), 3).eval_point([-2.0]) == -8.0
 
 
 def test_rejects_malformed():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from certsurf.errors import IntervalDomainError
 from certsurf.intervals import (
-    EMPTY,
     Interval,
     IntervalBox,
     IntervalMatrix,
@@ -114,27 +113,30 @@ def test_div_one_third_tight():
     assert q.hi - q.lo <= 2 * math.ulp(0.5)
 
 
-def test_empty_propagation():
-    assert (EMPTY + iv(1, 2)).is_empty
-    assert (iv(1, 2) * EMPTY).is_empty
-    assert (-EMPTY).is_empty
-    assert EMPTY.power(2).is_empty
-    assert iv(0, 1).intersect(iv(2, 3)) is EMPTY or iv(0, 1).intersect(iv(2, 3)).is_empty
-    assert EMPTY == EMPTY
-    assert not EMPTY.contains(0.0)
+def test_constructor_rejects_empty_and_nan():
+    for lo, hi in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (math.inf, -math.inf)):
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
 
 
-def test_intersect_and_hull():
+def test_float_operands_are_not_coerced():
+    with pytest.raises(AttributeError):
+        iv(1, 2) + 1.0
+    with pytest.raises(TypeError):
+        1.0 * iv(1, 2)
+
+
+def test_intersect():
     assert iv(0, 2).intersect(iv(1, 3)) == iv(1, 2)
-    assert iv(0, 1).hull(iv(2, 3)) == iv(0, 3)
     assert iv(0, 1).intersect(iv(1, 2)) == iv(1, 1)
+    assert iv(0, 1).intersect(iv(2, 3)) is None
 
 
-def test_box_empty_propagation():
+def test_box_intersect_disjoint_is_none():
     b = IntervalBox([iv(0, 1), iv(0, 1)])
     c = IntervalBox([iv(2, 3), iv(0, 1)])
-    assert b.intersect(c).is_empty
-    assert not b.intersect(b).is_empty
+    assert b.intersect(c) is None
+    assert b.intersect(b) == b
 
 
 def test_box_basicops():
@@ -234,8 +236,6 @@ def test_fuzz_pow_against_rational_oracle():
 
 def _random_entry(rng: random.Random) -> Interval:
     kind = rng.random()
-    if kind < 0.1:
-        return EMPTY
     a = rng.uniform(-10.0, 10.0)
     if kind < 0.4:
         return Interval.point(a)
@@ -250,16 +250,13 @@ def _random_matrix(rng: random.Random, m: int, n: int) -> list[list[Interval]]:
 
 
 def _bits(x: Interval):
-    return None if x.is_empty else (x.lo.hex(), x.hi.hex())
+    return (x.lo.hex(), x.hi.hex())
 
 
 def _check_dot(rng: random.Random, got: Interval, xs, ys) -> None:
     # bit-equal to the scalar reference, summed left to right from 0
     ref = sum((x * y for x, y in zip(xs, ys)), Interval(0.0, 0.0))
     assert _bits(got) == _bits(ref)
-    if got.is_empty:
-        assert any(v.is_empty for v in list(xs) + list(ys))
-        return
     for _ in range(4):
         exact = sum(
             (_frac(_sample(rng, x)) * _frac(_sample(rng, y)) for x, y in zip(xs, ys)),
@@ -332,17 +329,90 @@ def test_mul_encloses_samples(x, y, t1, t2):
     Interval(0.0, 1.0),
 )
 def test_inclusion_isotonic(a, b, c, d):
-    x = a.hull(b)
-    y = c.hull(d)
-    xs = a.intersect(x)
-    ys = c.intersect(y)
-    if xs.is_empty or ys.is_empty:
-        return
+    # x and y are the hulls of a with b and of c with d, so a is in x and c in y
+    x = Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+    y = Interval(min(c.lo, d.lo), max(c.hi, d.hi))
+    xs, ys = a, c
     big = x * y
     small = xs * ys
     assert big.contains_interval(small)
     assert (x + y).contains_interval(xs + ys)
     assert (x - y).contains_interval(xs - ys)
+
+
+extended = st.floats(allow_nan=False)
+
+
+@st.composite
+def extended_intervals(draw):
+    a = draw(extended)
+    b = draw(extended)
+    return Interval(min(a, b), max(a, b))
+
+
+def _finite_points(x: Interval, draws) -> list[float]:
+    points = [min(max(u, x.lo), x.hi) for u in draws] + [x.lo, x.hi, x.midpoint()]
+    return [p for p in points if math.isfinite(p)]
+
+
+def _encloses(r: Interval, exact: Fraction) -> bool:
+    lo_ok = r.lo == -math.inf or (math.isfinite(r.lo) and Fraction(r.lo) <= exact)
+    hi_ok = r.hi == math.inf or (math.isfinite(r.hi) and exact <= Fraction(r.hi))
+    return lo_ok and hi_ok
+
+
+def _assert_valid(r) -> None:
+    # the constructor accepts the result again, so it is nonempty and NaN-free
+    assert isinstance(r, Interval)
+    assert Interval(r.lo, r.hi) == r
+
+
+@given(
+    extended_intervals(),
+    extended_intervals(),
+    st.integers(-3, 5),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3),
+)
+@settings(max_examples=300)
+@example(Interval(math.inf, math.inf), Interval(math.inf, math.inf), 2, [])
+@example(Interval(-math.inf, math.inf), Interval(0.0, 0.0), 3, [1.0])
+def test_operations_stay_nonempty_on_extended_reals(x, y, k, draws):
+    xs = _finite_points(x, draws)
+    ys = _finite_points(y, draws)
+    cases = [(x + y, lambda p, q: p + q), (x - y, lambda p, q: p - q), (x * y, lambda p, q: p * q)]
+    if not y.contains(0.0):
+        cases.append((x / y, lambda p, q: p / q))
+    for r, op in cases:
+        _assert_valid(r)
+        for p in xs:
+            for q in ys:
+                assert _encloses(r, op(Fraction(p), Fraction(q)))
+
+    if k < 0 and x.power(-k).contains(0.0):
+        with pytest.raises(IntervalDomainError):
+            x.power(k)
+    else:
+        r = x.power(k)
+        _assert_valid(r)
+        for p in xs:
+            assert _encloses(r, Fraction(p) ** k)
+
+    if x.lo >= 0.0:
+        r = x.sqrt()
+        _assert_valid(r)
+        for p in xs:
+            assert Fraction(r.lo) ** 2 <= Fraction(p)
+            assert r.hi == math.inf or Fraction(p) <= Fraction(r.hi) ** 2
+
+    common = x.intersect(y)
+    if not x.overlaps(y):
+        assert common is None
+        return
+    _assert_valid(common)
+    both = Interval(max(x.lo, y.lo), min(x.hi, y.hi))
+    assert common == both
+    for p in _finite_points(both, draws):
+        assert x.contains(p) and y.contains(p) and common.contains(p)
 
 
 @given(st.floats(min_value=0, max_value=1e15), st.floats(min_value=0, max_value=1e15))
