@@ -10,8 +10,8 @@ class CertsurfError(Exception):
 class IntervalDomainError(CertsurfError):
     """An interval operation left its mathematical domain.
 
-    Raised for division by an interval containing zero and for square
-    roots of intervals reaching below zero. Callers that run certification
+    Raised for division by, or a negative power of, an interval containing
+    zero and for square roots of intervals reaching below zero. Callers that run certification
     attempts treat this as a failed attempt, never as a pass.
     """
 

@@ -389,7 +389,18 @@ class Interval:
         if k == 0:
             return Interval(1.0, 1.0)
         if k < 0:
-            return Interval(1.0, 1.0) / self.power(-k)
+            # |x|^k = 1 / |x|^-k between the reciprocals of the extreme
+            # magnitudes; a power that underflows to 0 leaves the upper end
+            # unbounded, not undefined
+            m = self.mig()
+            if m == 0.0:
+                raise IntervalDomainError(f"negative power of interval containing zero: {self}")
+            least = pow_down(m, -k)
+            lo = div_down(1.0, pow_up(self.mag(), -k))
+            hi = div_up(1.0, least) if least > 0.0 else math.inf
+            if k % 2 and self.hi < 0.0:
+                lo, hi = -hi, -lo
+            return Interval(lo, hi)
         if k % 2 == 0:
             hi = pow_up(self.mag(), k)
             m = self.mig()
@@ -577,9 +588,7 @@ class IntervalMatrix:
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def matvec(self, vec: IntervalBox | Sequence[float]) -> IntervalBox:
-        if not isinstance(vec, IntervalBox):
-            vec = IntervalBox.point([float(x) for x in vec])
+    def matvec(self, vec: IntervalBox) -> IntervalBox:
         if vec.dim != self.shape[1]:
             raise ValueError("shape mismatch")
         return IntervalBox([_dot(row, vec.parts) for row in self.rows])

@@ -111,6 +111,8 @@ def newton_polish(system, start) -> list[float]:
         x = x - step
         if not np.all(np.isfinite(x)):
             break
+    if best is None:
+        raise CertificationError("residual at the start point is not finite")
     raise CertificationError(
         f"start point did not converge onto the zero set (residual {best})"
     )

@@ -1,13 +1,30 @@
 """Breadth-first growth of a certified box cover over a surface component.
 
-The driver keeps a queue of patches whose base-square boundary is not yet
-fully covered by neighbouring slabs.  Boundary coverage is established
-through facet slabs: the surface is intersected with the plane carrying one
-face of a patch cube, the resulting curve is certified as a slab of its own,
-and the stretch of the face it provably crosses is marked covered.  New
-patches are spawned at uncovered boundary points and component-tested
-against every stored patch they touch, so the final cover never welds two
-distinct sheets together.
+Each patch P certifies that, over its base square [-r, r]^2, the zero set
+meets its uniqueness cube in exactly one sheet, and that the sheet lies
+within r_fiber of the base plane.  Growth closes the patches' boundaries
+by containment, the condition certified continuation uses to link
+consecutive boxes:
+
+* Each edge of P's base square is held as dyadic pieces.  P's slab over a
+  piece is the piece times [-r_fiber, r_fiber]^m in P's frame.
+* A piece is covered when that slab lies strictly inside a live
+  neighbour Q's uniqueness cube.  Each sheet point of P over the piece is
+  then a zero in Q's cube, hence Q's unique sheet point over an interior
+  base point of Q: it lies in the relative interior of Q's sheet piece.
+* When every piece of every patch is covered by a live patch, the union
+  of the sheet pieces is compact and open in the zero set, so it is a
+  union of whole components.  (A removed patch therefore reopens the
+  pieces it covered.)  In a query domain, pieces whose slab provably
+  misses the domain leave the ledger too, and the union is the
+  components' part inside the domain.
+
+The test costs one interval ``matmul`` per pair of patches and one
+``matvec`` per piece: no Newton step and no Krawczyk test.  A piece that
+no neighbour contains is halved while some neighbour's cube reaches it
+and it is longer than the floor.  What stays open is closed by spawning
+a patch on the edge, which is welded to every stored patch whose slab it
+touches, so the cover never joins two distinct sheets.
 """
 
 from __future__ import annotations
@@ -18,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ATTEMPT_ERRORS, CertificationError
-from .frames import OrientedBox, obox_contains, obox_disjoint
+from .frames import OrientedBox, frame_map, obox_disjoint
 from .intervals import Interval, IntervalBox
 from .patching import CertifiedPatch, certify_box, component_test, inclusion_test
-from .system import AnalyticSystem, linear_form
+from .system import AnalyticSystem
 
 __all__ = [
     "EdgeCoverage",
@@ -31,71 +48,126 @@ __all__ = [
     "post_process_trim",
 ]
 
-# Slivers narrower than this fraction of the half-width are dropped from
-# the uncovered ledger; anything the marching loop could still act on is
-# orders of magnitude wider.
-_SLIVER_FACTOR = 2.0**-20
+# A piece no neighbour contains is halved only below this level, that is
+# while it is longer than r/16 (an edge is 2r long at level 0).
+_FLOOR_LEVEL = 5
+
+# Piece states besides None (open) and a container's patch id (covered).
+_CLIPPED = -1
+# What a ``settle`` decision returns to halve a piece instead.
+_SPLIT = -2
 
 
 class EdgeCoverage:
-    """Uncovered portions of a patch's base-square boundary.
+    """Dyadic pieces of a patch's base-square boundary, each open or closed.
 
     The base square is [-r, r]^2.  Each of the four edges is keyed by
     (axis, side): the edge where base coordinate ``axis`` is pinned to
-    ``side * r``.  Per edge we keep a sorted list of disjoint closed
-    intervals [lo, hi] of the running coordinate that are still uncovered.
-    Covered portions and portions that provably leave the query domain are
-    both struck from it.
+    ``side * r``.  Per edge we keep pieces (level, index, state) in order;
+    piece (level, index) is the running-coordinate stretch
+    r * [-1 + index * 2^(1-level), -1 + (index + 1) * 2^(1-level)].
+    Pieces are made only by halving, so they tile the edge exactly.  The
+    state is None while the piece is open, the id of the neighbour whose
+    cube contains the slab over it once covered (the piece reopens if that
+    neighbour is removed), or ``_CLIPPED`` once that slab provably misses
+    the query domain.
     """
 
-    __slots__ = ("r", "floor", "edges")
+    __slots__ = ("r", "edges")
 
     def __init__(self, r: float):
         self.r = float(r)
-        self.floor = self.r * _SLIVER_FACTOR
-        self.edges: dict[tuple[int, int], list[tuple[float, float]]] = {
-            (axis, side): [(-self.r, self.r)]
-            for axis in range(2)
-            for side in (-1, 1)
+        self.edges: dict[tuple[int, int], list[tuple[int, int, int | None]]] = {
+            (axis, side): [(0, 0, None)] for axis in range(2) for side in (-1, 1)
         }
 
     def is_done(self) -> bool:
-        return all(not pieces for pieces in self.edges.values())
+        return not any(
+            state is None for pieces in self.edges.values() for _, _, state in pieces
+        )
 
-    def intervals(self, axis: int, side: int) -> list[tuple[float, float]]:
-        return list(self.edges[(axis, side)])
+    def open_pieces(self, axis: int, side: int) -> list[tuple[int, int]]:
+        return [(level, index) for level, index, state in self.edges[(axis, side)] if state is None]
 
-    def longest(self) -> tuple[int, int, float, float] | None:
-        """Widest uncovered interval as (axis, side, lo, hi), or None."""
-        best = None
-        best_w = 0.0
+    def open_length(self, axis: int, side: int) -> float:
+        return sum(self.length(level) for level, _ in self.open_pieces(axis, side))
+
+    def length(self, level: int) -> float:
+        return self.r * 2.0 ** (1 - level)
+
+    @staticmethod
+    def bounds(level: int, index: int) -> tuple[float, float]:
+        """The piece's ends in units of r (exact dyadic floats)."""
+        step = 2.0 ** (1 - level)
+        return -1.0 + index * step, -1.0 + (index + 1) * step
+
+    def span(self, level: int, index: int) -> Interval:
+        """Outward enclosure of the piece on the running coordinate."""
+        return Interval(*self.bounds(level, index)) * Interval.point(self.r)
+
+    def settle(self, decide) -> float:
+        """Let ``decide(axis, side, level, index)`` rule on every open piece.
+
+        It returns None to leave the piece open, ``_SPLIT`` to halve it and
+        rule on both halves, or the piece's new closed state.  Returns the
+        length closed.
+        """
+        closed = 0.0
         for (axis, side), pieces in self.edges.items():
-            for lo, hi in pieces:
-                if hi - lo > best_w:
-                    best_w = hi - lo
-                    best = (axis, side, lo, hi)
-        return best
+            out = []
+            stack = pieces[::-1]
+            while stack:
+                level, index, state = stack.pop()
+                if state is None:
+                    state = decide(axis, side, level, index)
+                    if state == _SPLIT:
+                        stack += [(level + 1, 2 * index + 1, None), (level + 1, 2 * index, None)]
+                        continue
+                    if state is not None:
+                        closed += self.length(level)
+                out.append((level, index, state))
+            self.edges[(axis, side)] = out
+        return closed
 
-    def subtract(self, axis: int, side: int, lo: float, hi: float) -> float:
-        """Remove [lo, hi] from the edge's uncovered set; returns length removed."""
-        if not hi > lo:
-            return 0.0
-        key = (axis, side)
-        removed = 0.0
-        kept: list[tuple[float, float]] = []
-        for a, b in self.edges[key]:
-            if hi <= a or b <= lo:
-                kept.append((a, b))
-                continue
-            cut_lo = max(a, lo)
-            cut_hi = min(b, hi)
-            removed += cut_hi - cut_lo
-            if cut_lo - a > self.floor:
-                kept.append((a, cut_lo))
-            if b - cut_hi > self.floor:
-                kept.append((cut_hi, b))
-        self.edges[key] = kept
-        return removed
+    def reopen(self, container: int) -> bool:
+        """Open the pieces ``container`` covered again; True if there were any."""
+        found = False
+        for key, pieces in self.edges.items():
+            if any(state == container for _, _, state in pieces):
+                found = True
+                self.edges[key] = [
+                    (level, index, None if state == container else state)
+                    for level, index, state in pieces
+                ]
+        return found
+
+    def target(self) -> tuple[int, int, float] | None:
+        """Where to spawn next, as (axis, side, running coordinate), or None.
+
+        The edge is the one with the most open length (the first in key
+        order on ties).  A spawned patch is centred on the edge, so the point
+        is the middle of the edge's unclipped extent, where one patch covers
+        the most of it.  When that point is covered already, it is the open
+        point nearest the middle of the open pieces' hull instead.
+        """
+        best = None
+        for (axis, side), pieces in self.edges.items():
+            spans = [self.bounds(level, index) for level, index, state in pieces if state is None]
+            length = sum(hi - lo for lo, hi in spans)
+            if spans and (best is None or length > best[0]):
+                best = (length, axis, side, pieces, spans)
+        if best is None:
+            return None
+        _, axis, side, pieces, spans = best
+
+        def nearest_open(u: float) -> float:
+            return min((min(max(u, lo), hi) for lo, hi in spans), key=lambda t: abs(t - u))
+
+        kept = [self.bounds(level, index) for level, index, state in pieces if state != _CLIPPED]
+        middle = 0.5 * (kept[0][0] + kept[-1][1])
+        if nearest_open(middle) != middle:
+            middle = nearest_open(0.5 * (spans[0][0] + spans[-1][1]))
+        return axis, side, middle * self.r
 
 
 @dataclass(eq=False)
@@ -124,12 +196,9 @@ class SurfaceRun:
     _slabs: list[OrientedBox | None] = field(default_factory=list, repr=False)
     _parent: list[int] = field(default_factory=list, repr=False)
     _neighbors: list[set | None] = field(default_factory=list, repr=False)
-    _facet_systems: dict[tuple[int, int, int], AnalyticSystem] = field(
-        default_factory=dict, repr=False
-    )
-    _cover_memo: set = field(default_factory=set, repr=False)
 
     def add(self, patch: CertifiedPatch, tag: str = "grown") -> int:
+        """Store a patch and settle its ledger and its neighbours' both ways."""
         pid = len(self.patches)
         cube = patch.uniqueness_box()
         links = {
@@ -144,26 +213,30 @@ class SurfaceRun:
         self._slabs.append(patch.enclosure_box())
         self._parent.append(pid)
         self._neighbors.append(links)
-        for other in links:
+        for other in sorted(links):
             other_links = self._neighbors[other]
             assert other_links is not None
             other_links.add(pid)
+            coverage_update(self, pid, other)
+            coverage_update(self, other, pid)
         return pid
 
     def remove(self, pid: int) -> None:
+        """Drop a patch; the pieces it covered reopen in its neighbours."""
         links = self._neighbors[pid]
-        if links:
-            for other in links:
-                other_links = self._neighbors[other]
-                if other_links is not None:
-                    other_links.discard(pid)
         self.patches[pid] = None
         self.coverage[pid] = None
         self._cubes[pid] = None
         self._slabs[pid] = None
         self._neighbors[pid] = None
-        for key in [k for k in self._facet_systems if k[0] == pid]:
-            del self._facet_systems[key]
+        for other in sorted(links or ()):
+            other_links = self._neighbors[other]
+            cov = self.coverage[other]
+            assert other_links is not None and cov is not None
+            other_links.discard(pid)
+            if cov.reopen(pid):
+                for container in sorted(other_links):
+                    coverage_update(self, other, container)
 
     def neighbors(self, pid: int) -> list[int]:
         """Live patches whose uniqueness cube touches this patch's cube."""
@@ -205,22 +278,6 @@ class SurfaceRun:
     def same_component(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
 
-    def facet_system(self, pid: int, axis: int, side: int) -> AnalyticSystem:
-        """System cut by the plane of one face of patch ``pid``'s cube."""
-        key = (pid, axis, side)
-        cached = self._facet_systems.get(key)
-        if cached is not None:
-            return cached
-        patch = self.patches[pid]
-        assert patch is not None
-        normal = patch.frame.v[:, axis]
-        offset = float(np.dot(normal, patch.frame.center) + side * patch.r)
-        facet = self.system.augmented(linear_form(normal, offset))
-        self._facet_systems[key] = facet
-        return facet
-
-
-
 
 def _edge_exit_point(patch: CertifiedPatch, axis: int, side: int, t: float) -> np.ndarray | None:
     """World point where the sheet crosses the edge at running coordinate t.
@@ -253,229 +310,53 @@ def _edge_exit_point(patch: CertifiedPatch, axis: int, side: int, t: float) -> n
     return None
 
 
-def _covered_interval(
-    target: CertifiedPatch, along: int, e_patch: CertifiedPatch
-) -> tuple[float, float] | None:
-    """Stretch of the target edge the facet curve provably crosses.
+def _edge_slab(patch: CertifiedPatch, axis: int, side: int, span: Interval) -> IntervalBox:
+    """Frame-local slab over an edge stretch: pinned edge x span x fiber radius."""
+    local = [Interval.point(side * patch.r)] * 2
+    local[1 - axis] = span
+    return IntervalBox(local + [Interval(-patch.r_fiber, patch.r_fiber)] * patch.m)
 
-    The facet slab's curve runs from one end of its base interval to the
-    other; enclosing the curve point at each end and projecting onto the
-    target's running coordinate gives two intervals.  Every coordinate
-    value strictly between them is hit by the curve (intermediate value
-    theorem on the continuous projection), so the inner gap is covered.
+
+def coverage_update(run: SurfaceRun, target_id: int, container_id: int) -> float:
+    """Cover the target's open edge pieces whose slab lies in the container's cube.
+
+    The slab over a piece is pinned edge coordinate x piece x
+    [-r_fiber, r_fiber]^m in the target's frame.  One enclosure of the
+    pair's affine map takes it into the container's frame, and the piece is
+    covered when its image lies strictly inside the container's cube.  A
+    piece whose image only reaches the cube is halved down to
+    ``_FLOOR_LEVEL``.  Returns the length newly covered.
     """
-    accuracy = max(e_patch.r_fiber**2, 1e-14 * max(1.0, e_patch.r))
-    ends = []
-    for s in (-1.0, 1.0):
-        try:
-            world = e_patch.sheet_point([s * e_patch.r], e_patch.r_fiber, accuracy)
-        except ATTEMPT_ERRORS:
-            return None
-        ends.append(target.frame.world_to_local_box(world).parts[along])
-    ends.sort(key=lambda piece: piece.midpoint())
-    lo = ends[0].hi
-    hi = ends[1].lo
-    if not lo < hi:
-        return None
-    return lo, hi
-
-
-def _facet_slab(
-    run: SurfaceRun,
-    target_id: int,
-    container_id: int,
-    axis: int,
-    side: int,
-    t_hat: float,
-    feasible: float,
-) -> tuple[float, float] | None:
-    """Certify a facet slab at the edge point and return the covered stretch.
-
-    The slab must sit inside the container's uniqueness cube (so its curve
-    is the container's sheet cut by the plane) and, on the fiber axes,
-    inside the target's cube (so curve points at an edge coordinate inside
-    the base square belong to the target's own sheet).  Both conditions
-    together let the covered stretch be struck from the uncovered ledger.
-
-    ``feasible`` is the caller's bound on how big a slab the container has
-    room for around the probe; the first certification starts just inside
-    it instead of burning attempts on sizes that cannot fit.
-    """
-    if feasible <= 0.0:
-        return None
     target = run.patches[target_id]
     container = run.patches[container_id]
-    assert target is not None and container is not None
-    z_world = _edge_exit_point(target, axis, side, t_hat)
-    if z_world is None:
-        return None
-    # every certification below starts from this probe, and halving only
-    # helps a slab that hangs over an edge of the container: a probe outside
-    # the container's cube stays outside at any radius.  Giving up here is
-    # safe, since the stretch stays in the uncovered ledger.
-    probe = container.frame.world_to_local_box(IntervalBox.point(z_world))
-    if any(p.hi < -container.r or p.lo > container.r for p in probe.parts):
-        return None
-    facet_sys = run.facet_system(target_id, axis, side)
-    target_cube = run.cube(target_id)
-    container_cube = run.cube(container_id)
-    fiber_axes = tuple(range(target.d, target.n))
-
-    r_try = min(target.r, container.r, 0.9 * feasible)
-    progress_floor = min(target.r, container.r) / 1024.0
-    for _ in range(4):
-        try:
-            e_patch = certify_box(facet_sys, z_world, r_try, run.rho)
-        except ATTEMPT_ERRORS:
-            return None
-        if e_patch.r < progress_floor:
-            return None
-        e_cube = e_patch.uniqueness_box()
-        image = target.frame.world_to_local_box(e_cube.world_hull())
-        pinned = image.parts[axis]
-        slack = 4.0 * e_patch.r + target.r * _SLIVER_FACTOR
-        on_plane = abs(pinned.midpoint() - side * target.r) <= slack
-        if (
-            on_plane
-            and obox_contains(container_cube, e_cube)
-            and obox_contains(target_cube, e_cube, axes=fiber_axes)
-        ):
-            covered = _covered_interval(target, 1 - axis, e_patch)
-            if covered is not None:
-                return covered
-            return None
-        r_try = 0.5 * e_patch.r
-    return None
-
-
-def _container_reach(
-    image: IntervalBox, target: CertifiedPatch, axis: int, side: int
-) -> tuple[Interval, Interval, float] | None:
-    """Reach of the container cube along the target edge, or None if it misses.
-
-    ``image`` is the container cube's hull in the target's frame.  The facet
-    slab straddles the edge plane, so only a container reaching past both
-    sides of the plane can hold one.  Returns (reach, span, depth): the edge
-    stretch worth working on, the container's unclipped extent along the
-    edge, and how far it reaches past the edge plane on the shallower side.
-    Span and depth bound the radius of any slab that could fit.
-    """
-    pinned = image.parts[axis]
-    edge_coord = side * target.r
-    if not pinned.lo < edge_coord < pinned.hi:
-        return None
-    span = image.parts[1 - axis]
-    reach = span.intersect(Interval(-target.r, target.r))
-    if reach is None:
-        return None
-    depth = min(edge_coord - pinned.lo, pinned.hi - edge_coord)
-    return reach, span, depth
-
-
-def _attempt_cover(
-    run: SurfaceRun,
-    target_id: int,
-    container_id: int,
-    axis: int,
-    side: int,
-    t_hat: float,
-) -> float:
-    """One facet-slab attempt; returns uncovered length removed.
-
-    Failed probe locations are memoised per container so later pops do not
-    burn certification work on a spot that container already missed.
-    """
-    target = run.patches[target_id]
-    assert target is not None
-    bucket = int(t_hat / (target.r / 16.0))
-    memo_key = (target_id, container_id, axis, side, bucket)
-    if memo_key in run._cover_memo:
-        return 0.0
-    image = target.frame.world_to_local_box(run.cube(container_id).world_hull())
-    hit = _container_reach(image, target, axis, side)
-    if hit is None:
-        return 0.0
-    reach, span, depth = hit
-    if not reach.lo <= t_hat <= reach.hi:
-        return 0.0
-    feasible = min(t_hat - span.lo, span.hi - t_hat, depth)
-    covered = _facet_slab(run, target_id, container_id, axis, side, t_hat, feasible)
-    if covered is None:
-        run._cover_memo.add(memo_key)
-        return 0.0
     cov = run.coverage[target_id]
-    assert cov is not None
-    return cov.subtract(axis, side, covered[0], covered[1])
-
-
-def coverage_update(
-    run: SurfaceRun, target_id: int, container_id: int, attempts: int = 6
-) -> float:
-    """March facet slabs along target edges that cross the container's cube.
-
-    Only the stretch of each edge that the container cube can reach is
-    worked on.  Failed probe neighbourhoods are dropped from the local work
-    list but stay in the uncovered ledger, so failure never fakes coverage.
-    Returns the total uncovered length removed.
-    """
-    target = run.patches[target_id]
-    cov = run.coverage[target_id]
-    if target is None or cov is None or cov.is_done():
+    if target is None or container is None or cov is None or cov.is_done():
         return 0.0
-    if run.patches[container_id] is None:
-        return 0.0
-    image = target.frame.world_to_local_box(run.cube(container_id).world_hull())
-    removed_total = 0.0
-    for axis in range(2):
-        for side in (-1, 1):
-            hit = _container_reach(image, target, axis, side)
-            if hit is None:
-                continue
-            reach = hit[0]
-            work = [
-                (max(lo, reach.lo), min(hi, reach.hi))
-                for lo, hi in cov.intervals(axis, side)
-                if min(hi, reach.hi) - max(lo, reach.lo) > cov.floor
-            ]
-            budget = attempts
-            while work and budget > 0:
-                budget -= 1
-                work.sort(key=lambda piece: piece[1] - piece[0])
-                lo, hi = work.pop()
-                t_hat = 0.5 * (lo + hi)
-                removed = _attempt_cover(run, target_id, container_id, axis, side, t_hat)
-                if removed > cov.floor:
-                    removed_total += removed
-                    # the popped piece may be only partly covered; keep its
-                    # remainder in play alongside the other pieces
-                    work.append((lo, hi))
-                    work = [
-                        (max(a, piece_lo), min(b, piece_hi))
-                        for a, b in work
-                        for piece_lo, piece_hi in cov.intervals(axis, side)
-                        if min(b, piece_hi) - max(a, piece_lo) > cov.floor
-                    ]
-                else:
-                    # strike a neighbourhood of the failed probe from the
-                    # work list only; the ledger still holds it
-                    gap = 0.25 * (hi - lo)
-                    if t_hat - lo > gap:
-                        work.append((lo, t_hat - gap))
-                    if hi - t_hat > gap:
-                        work.append((t_hat + gap, hi))
-    return removed_total
+    offset, mixed = frame_map(container.frame, target.frame)
+    r = container.r
+
+    def decide(axis: int, side: int, level: int, index: int) -> int | None:
+        slab = _edge_slab(target, axis, side, cov.span(level, index))
+        image = [o + p for o, p in zip(offset.parts, mixed.matvec(slab).parts)]
+        if all(-r < p.lo and p.hi < r for p in image):
+            return container_id
+        if level < _FLOOR_LEVEL and all(-r <= p.hi and p.lo <= r for p in image):
+            return _SPLIT
+        return None
+
+    return cov.settle(decide)
 
 
-# Bisection depth at which a straddling edge stretch is kept uncovered.
-_CLIP_MAX_DEPTH = 12
+# Level down to which a piece straddling the domain boundary is halved.
+_CLIP_MAX_LEVEL = 12
 
 
 def _clip_outside_domain(run: SurfaceRun, pid: int) -> None:
-    """Strike edge portions that provably leave the query domain.
+    """Clip open edge pieces that provably leave the query domain.
 
-    Each uncovered piece is enclosed as a world box (edge segment thickened
-    by the fiber enclosure radius); pieces disjoint from the domain are
-    clipped, pieces inside it are kept, straddling pieces are bisected.
+    Each open piece is enclosed as a world box (its slab); pieces disjoint
+    from the domain are clipped, pieces inside it stay open, straddling
+    pieces are halved down to ``_CLIP_MAX_LEVEL``.
     """
     domain = run.domain
     patch = run.patches[pid]
@@ -483,26 +364,15 @@ def _clip_outside_domain(run: SurfaceRun, pid: int) -> None:
     if domain is None or patch is None or cov is None:
         return
 
-    def world_slab(axis: int, side: int, lo: float, hi: float) -> IntervalBox:
-        local = [None, None] + [Interval(-patch.r_fiber, patch.r_fiber)] * patch.m
-        local[axis] = Interval.point(side * patch.r)
-        local[1 - axis] = Interval(lo, hi)
-        return patch.frame.to_world_box(IntervalBox(local))
+    def decide(axis: int, side: int, level: int, index: int) -> int | None:
+        box = patch.frame.to_world_box(_edge_slab(patch, axis, side, cov.span(level, index)))
+        if not box.overlaps(domain):
+            return _CLIPPED
+        if domain.contains_box(box) or level >= _CLIP_MAX_LEVEL:
+            return None
+        return _SPLIT
 
-    for axis in range(2):
-        for side in (-1, 1):
-            stack = [(lo, hi, 0) for lo, hi in cov.intervals(axis, side)]
-            while stack:
-                lo, hi, depth = stack.pop()
-                box = world_slab(axis, side, lo, hi)
-                if not box.overlaps(domain):
-                    cov.subtract(axis, side, lo, hi)
-                    continue
-                if domain.contains_box(box) or depth >= _CLIP_MAX_DEPTH or hi - lo <= 2.0 * cov.floor:
-                    continue
-                mid = 0.5 * (lo + hi)
-                stack.append((lo, mid, depth + 1))
-                stack.append((mid, hi, depth + 1))
+    cov.settle(decide)
 
 
 def _replace_with_refinements(
@@ -510,12 +380,13 @@ def _replace_with_refinements(
 ) -> list[int]:
     """Swap a stored patch for certified patches over its refinement boxes.
 
-    Replacement coverage starts fully uncovered; interfaces between the
-    pieces are re-established by ordinary facet coverage, which costs a few
-    extra slab certifications but keeps a single soundness story.
+    Replacement ledgers start fully open and settle by containment as the
+    pieces enter the run.  The parent's former neighbours go back on the
+    queue, since pieces the parent covered reopen in their ledgers.
     """
     parent = run.patches[pid]
     assert parent is not None
+    queue.extend(run.neighbors(pid))
     run.remove(pid)
     new_ids = []
     for box in refinement:
@@ -624,8 +495,6 @@ def _spawn(
                 run.verdicts[frozenset((new_pid, other))] = True
                 run.union(new_pid, other)
             queue.append(new_pid)
-            coverage_update(run, pid, new_pid)
-            coverage_update(run, new_pid, pid, attempts=3)
             return new_pid
         for other, ref_stored in conflicts:
             _replace_with_refinements(run, other, ref_stored, queue)
@@ -687,57 +556,31 @@ def certified_surface_approximation(
             _clip_outside_domain(run, pid)
             if cov.is_done():
                 continue
-        progressed = False
-        for _ in range(4):
-            pick = cov.longest()
-            if pick is None:
-                break
-            axis, side, lo, hi = pick
-            t_hat = 0.5 * (lo + hi)
-            base = [0.0, 0.0]
-            base[axis] = side * patch.r
-            base[1 - axis] = t_hat
-            probe = patch.frame.to_world(base + [0.0] * patch.m)
-            order = sorted(
-                run.neighbors(pid),
-                key=lambda q: float(
-                    np.linalg.norm(np.asarray(run.patches[q].frame.center) - probe)
-                ),
-            )
-            covered = False
-            for other in order:
-                if _attempt_cover(run, pid, other, axis, side, t_hat) > cov.floor:
-                    covered = True
-                    break
-            if covered:
-                progressed = True
-                continue
-            if max_boxes is not None and run.live_count() >= max_boxes:
-                run.truncated = True
-                break
-            new_pid = _spawn(run, pid, axis, side, t_hat, queue)
-            if new_pid is None:
-                key = (pid, axis, side, round(t_hat / max(cov.floor, 1e-300)))
-                stalls[key] = stalls.get(key, 0) + 1
-                if stalls[key] >= 3:
-                    raise CertificationError(
-                        f"cannot extend the surface at patch {pid}, edge axis {axis} "
-                        f"side {side}, coordinate {t_hat:.6g}"
-                    )
-                break
-            progressed = True
-        if run.truncated:
+        if max_boxes is not None and run.live_count() >= max_boxes:
+            run.truncated = True
             break
-        if not cov.is_done():
-            queue.append(pid)
-        if progressed:
+        pick = cov.target()
+        assert pick is not None
+        axis, side, t_hat = pick
+        before = cov.open_length(axis, side)
+        new_pid = _spawn(run, pid, axis, side, t_hat, queue)
+        if new_pid is not None and cov.open_length(axis, side) < before:
             pops_since_progress = 0
         else:
+            key = (pid, *pick)
+            stalls[key] = stalls.get(key, 0) + 1
+            if stalls[key] >= 3:
+                raise CertificationError(
+                    f"cannot extend the surface at patch {pid}, edge axis {axis} "
+                    f"side {side}, coordinate {t_hat:.6g}"
+                )
             pops_since_progress += 1
             if pops_since_progress > 4 * run.live_count() + 64:
                 raise CertificationError(
                     "surface growth stalled: no coverage progress across a full queue sweep"
                 )
+        if not cov.is_done():
+            queue.append(pid)
 
     if not run.truncated:
         run.natural = all(

@@ -15,25 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, LinearAlgebraError
-from .expr import Const, Expr, Var, add, mul, sub
+from .expr import Expr
 from .frames import image_box
 from .intervals import IntervalBox, IntervalMatrix
 from .parser import parse_system
 
-__all__ = ["AnalyticSystem", "TransformedSystem", "linear_form"]
-
-
-def linear_form(coeffs: Sequence[float], constant: float) -> Expr:
-    """Expression tree for sum_i coeffs[i]*x_i - constant."""
-    e: Expr | None = None
-    for i, c in enumerate(coeffs):
-        term = mul(Const(float(c)), Var(i))
-        e = term if e is None else add(e, term)
-    if e is None:
-        raise ValueError("empty linear form")
-    if constant != 0.0:
-        e = sub(e, Const(float(constant)))
-    return e
+__all__ = ["AnalyticSystem", "TransformedSystem"]
 
 
 class _SystemBase:
@@ -90,10 +77,6 @@ class AnalyticSystem(_SystemBase):
         lines = ["variables = " + " ".join(variables)]
         lines.extend(f"{eq} = 0" for eq in equations)
         return cls.from_source("\n".join(lines) + "\n")
-
-    def augmented(self, extra: Expr) -> "AnalyticSystem":
-        """New system with one more equation (drops ambient dimension by one)."""
-        return AnalyticSystem(self.variables, list(self.equations) + [extra])
 
     def _jacobian_exprs(self):
         if self._jac is None:

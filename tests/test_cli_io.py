@@ -562,3 +562,25 @@ def test_cli_graph_certifies_around_a_domain_error(tmp_path):
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert cli_main(argv) == 2
     assert "certification failed" in capsys.readouterr().err
+
+
+def test_cli_start_overflow_says_the_residual_is_not_finite(capsys):
+    argv = [
+        "approximate",
+        "--variables",
+        "x y z",
+        "--equation",
+        "x^3 + y^2 + z^2 - 1",
+        "--start",
+        "1e110 0 0",
+        "--r",
+        "0.1",
+        "--rho",
+        "1/8",
+        "--max-boxes",
+        "3",
+    ]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "residual at the start point is not finite" in err
+    assert "None" not in err

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -48,3 +49,25 @@ def test_only_krawczyk_picks_preconditioners(name):
         assert "approx_inverse" in imported
     else:
         assert "approx_inverse" not in imported, f"{name} imports approx_inverse"
+
+
+def _tracer_targets():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+@pytest.mark.parametrize(
+    "target", _tracer_targets(), ids=lambda t: ".".join(filter(None, t[1:4]))
+)
+def test_traced_names_resolve(target):
+    # the benchmark tracer wraps these by name; a rename breaks --trace 1
+    _, module_name, owner_name, attr, _ = target
+    module = importlib.import_module(module_name)
+    if owner_name is None:
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr} is gone"
+    else:
+        owner = getattr(module, owner_name)
+        assert callable(vars(owner).get(attr)), f"{module_name}.{owner_name}.{attr} is gone"

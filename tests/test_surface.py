@@ -1,19 +1,22 @@
 """Surface growth driver: boundary coverage, clipping, trim, full runs."""
 
+import math
+
 import numpy as np
 import pytest
 
 from certsurf import surface
 from certsurf.errors import CertificationError
-from certsurf.frames import obox_disjoint
+from certsurf.frames import obox_contains, obox_disjoint
 from certsurf.intervals import Interval, IntervalBox
 from certsurf.patching import certify_box
 from certsurf.surface import (
+    _CLIPPED,
+    _SPLIT,
     EdgeCoverage,
     SurfaceRun,
     _clip_outside_domain,
     _edge_exit_point,
-    _facet_slab,
     certified_surface_approximation,
     coverage_update,
     post_process_trim,
@@ -21,6 +24,7 @@ from certsurf.surface import (
 from certsurf.system import AnalyticSystem
 
 PLANE = AnalyticSystem.from_source("variables = x y z\nz = 0\n")
+LIFTED_PLANE = AnalyticSystem.from_source("variables = x y z\nz - 0.15 = 0\n")
 SPHERE = AnalyticSystem.from_source("variables = x y z\nx^2 + y^2 + z^2 - 1 = 0\n")
 FOLD = AnalyticSystem.from_source("variables = x y z\nz^2 - x = 0\n")
 
@@ -32,41 +36,71 @@ FOLD = AnalyticSystem.from_source("variables = x y z\nz^2 - x = 0\n")
 def test_edge_coverage_starts_full():
     cov = EdgeCoverage(0.5)
     assert not cov.is_done()
-    assert sum(hi - lo for pieces in cov.edges.values() for lo, hi in pieces) == 4.0
-    axis, side, lo, hi = cov.longest()
-    assert (lo, hi) == (-0.5, 0.5)
+    assert all(pieces == [(0, 0, None)] for pieces in cov.edges.values())
+    assert cov.span(0, 0) == Interval(-0.5, 0.5)
+    assert sum(cov.open_length(*edge) for edge in cov.edges) == 4.0
+    assert cov.target() == (0, -1, 0.0)
 
 
-def test_edge_coverage_subtract_middle_splits():
+def _tiles_edge(pieces) -> bool:
+    ends = [EdgeCoverage.bounds(level, index) for level, index, _ in pieces]
+    return ends[0][0] == -1.0 and ends[-1][1] == 1.0 and all(
+        a[1] == b[0] for a, b in zip(ends, ends[1:])
+    )
+
+
+def test_edge_coverage_pieces_tile_each_edge():
     cov = EdgeCoverage(1.0)
-    removed = cov.subtract(0, 1, -0.25, 0.25)
-    assert removed == pytest.approx(0.5)
-    assert cov.intervals(0, 1) == [(-1.0, -0.25), (0.25, 1.0)]
-    # other edges untouched
-    assert cov.intervals(0, -1) == [(-1.0, 1.0)]
+
+    def middle_quarters(axis, side, level, index):
+        if (axis, side) != (0, 1):
+            return None
+        if level < 2:
+            return _SPLIT
+        return 7 if index in (1, 2) else None
+
+    assert cov.settle(middle_quarters) == 1.0
+    assert cov.edges[(0, 1)] == [(2, 0, None), (2, 1, 7), (2, 2, 7), (2, 3, None)]
+    assert all(_tiles_edge(pieces) for pieces in cov.edges.values())
+    assert cov.open_pieces(0, 1) == [(2, 0), (2, 3)]
+    assert cov.open_pieces(0, -1) == [(0, 0)]
 
 
-def test_edge_coverage_subtract_is_idempotent():
+def test_edge_coverage_reopens_a_removed_container():
     cov = EdgeCoverage(1.0)
-    cov.subtract(1, -1, 0.0, 0.5)
-    again = cov.subtract(1, -1, 0.0, 0.5)
-    assert again == 0.0
+    cov.settle(lambda axis, side, level, index: 3 if axis == 1 else None)
+    assert cov.open_pieces(1, -1) == [] and cov.open_pieces(0, 1) == [(0, 0)]
+    assert cov.reopen(3)
+    assert all(pieces == [(0, 0, None)] for pieces in cov.edges.values())
+    assert not cov.reopen(3)
 
 
-def test_edge_coverage_drops_slivers():
+def test_edge_coverage_target_centres_on_the_unclipped_extent():
     cov = EdgeCoverage(1.0)
-    # leave a sliver narrower than the floor on the left
-    cov.subtract(0, 1, -1.0 + 0.25 * cov.floor, 1.0)
-    assert cov.intervals(0, 1) == []
+
+    def clip_left_cover_middle(axis, side, level, index):
+        if (axis, side) != (0, -1):
+            return 6
+        if level < 3:
+            return _SPLIT
+        return {0: _CLIPPED, 3: 5, 4: 5}.get(index)
+
+    cov.settle(clip_left_cover_middle)
+    # the unclipped extent [-0.75, 1] has its middle 0.125 on a covered
+    # piece; the open hull is [-0.75, 1] too, and 0.25 is the open point
+    # nearest its middle
+    assert cov.target() == (0, -1, 0.25)
+    # once the middle is open again it is the target itself
+    cov.reopen(5)
+    assert cov.target() == (0, -1, 0.125)
 
 
 def test_edge_coverage_done_after_all_edges():
     cov = EdgeCoverage(0.25)
-    for axis in range(2):
-        for side in (-1, 1):
-            cov.subtract(axis, side, -0.25, 0.25)
+    closed = cov.settle(lambda axis, side, level, index: _CLIPPED if side < 0 else 1)
+    assert closed == 2.0
     assert cov.is_done()
-    assert cov.longest() is None
+    assert cov.target() is None
 
 
 # ---------------------------------------------------------------------------
@@ -82,48 +116,81 @@ def test_edge_exit_point_lands_on_sphere():
     assert local.parts[0].midpoint() == pytest.approx(patch.r, abs=1e-12)
 
 
-def test_coverage_update_straddling_plane_patches():
+def _plane_pair(offset, r_b):
+    """Run holding a plane patch at the origin and one shifted in its frame."""
     run = SurfaceRun(system=PLANE, rho=0.125, r_initial=0.1)
     a = certify_box(PLANE, (0.0, 0.0, 0.0), 0.1, 0.125)
-    # b's square straddles a's right edge and overhangs both its corners,
-    # so facet slabs can sit strictly inside b along the whole edge
-    shift = a.frame.to_world([0.25, 0.0, 0.0])
-    b = certify_box(PLANE, tuple(shift), 0.2, 0.125)
+    b = certify_box(PLANE, tuple(a.frame.to_world(offset)), r_b, 0.125)
+    return run, a, b
+
+
+def test_coverage_update_straddling_plane_patches():
+    # b's square straddles a's right edge and overhangs both its corners:
+    # adding b covers that whole edge, and a's far edge stays open
+    run, a, b = _plane_pair([0.25, 0.0, 0.0], 0.2)
     ia = run.add(a)
     ib = run.add(b)
-    removed = coverage_update(run, ia, ib, attempts=12)
-    assert removed > 0.0
-    # exactly one edge of a faces b; it is now fully covered
-    done_edges = [
-        key for key, pieces in run.coverage[ia].edges.items() if not pieces
-    ]
-    assert len(done_edges) == 1
+    cov = run.coverage[ia]
+    assert all(state == ib for _, _, state in cov.edges[(0, 1)])
+    assert cov.edges[(0, -1)] == [(0, 0, None)]
+    # the side edges are covered exactly where they run inside b's cube
+    for side in (-1, 1):
+        for level, index, state in cov.edges[(1, side)]:
+            lo, hi = EdgeCoverage.bounds(level, index)
+            if state == ib:
+                assert lo * a.r > 0.05
+            else:
+                assert state is None and hi * a.r <= 0.05 + a.r / 16
+    # everything b can cover is covered already
+    assert coverage_update(run, ia, ib) == 0.0
 
 
 def test_coverage_update_ignores_far_patch():
-    run = SurfaceRun(system=PLANE, rho=0.125, r_initial=0.1)
-    a = certify_box(PLANE, (0.0, 0.0, 0.0), 0.1, 0.125)
-    far = a.frame.to_world([5.0, 0.0, 0.0])
-    b = certify_box(PLANE, tuple(far), 0.1, 0.125)
+    run, a, b = _plane_pair([5.0, 0.0, 0.0], 0.1)
     ia = run.add(a)
     ib = run.add(b)
     assert coverage_update(run, ia, ib) == 0.0
-    assert all(pieces == [(-0.1, 0.1)] for pieces in run.coverage[ia].edges.values())
+    assert all(pieces == [(0, 0, None)] for pieces in run.coverage[ia].edges.values())
 
 
-def test_facet_slab_skips_container_that_misses_the_probe(monkeypatch):
-    # the container's cube lies far from the edge probe, so no slab
-    # certified from there can sit inside it; nothing is certified
-    def refuse(*args):
-        raise AssertionError("certify_box reached")
-
+def test_parallel_plane_beyond_the_fiber_radius_covers_nothing():
+    # the two cubes overlap, but a's sheet lies 0.15 > r away from b's
+    # along the fiber, so no slab of either fits in the other's cube
     run = SurfaceRun(system=PLANE, rho=0.125, r_initial=0.1)
     a = certify_box(PLANE, (0.0, 0.0, 0.0), 0.1, 0.125)
-    far = certify_box(PLANE, tuple(a.frame.to_world([5.0, 0.0, 0.0])), 0.1, 0.125)
+    b = certify_box(LIFTED_PLANE, (0.02, 0.0, 0.15), 0.1, 0.125)
     ia = run.add(a)
-    ifar = run.add(far)
-    monkeypatch.setattr(surface, "certify_box", refuse)
-    assert _facet_slab(run, ia, ifar, 0, 1, 0.0, 0.05) is None
+    ib = run.add(b)
+    assert run.neighbors(ia) == [ib]
+    assert coverage_update(run, ia, ib) == 0.0 and coverage_update(run, ib, ia) == 0.0
+    for cov in run.coverage:
+        assert all(state is None for pieces in cov.edges.values() for _, _, state in pieces)
+
+
+def test_coverage_update_certifies_nothing(monkeypatch):
+    # containment is one interval enclosure per piece: no patch, sheet
+    # point or Krawczyk test is certified on the way
+    def refuse(*args):
+        raise AssertionError("certification reached")
+
+    run, a, b = _plane_pair([0.25, 0.0, 0.0], 0.2)
+    for name in ("certify_box", "inclusion_test", "component_test"):
+        monkeypatch.setattr(surface, name, refuse)
+    monkeypatch.setattr(surface.CertifiedPatch, "sheet_point", refuse)
+    ia = run.add(a)
+    run.add(b)
+    assert not run.coverage[ia].open_pieces(0, 1)
+
+
+def test_removed_container_reopens_what_it_covered():
+    run, a, b = _plane_pair([0.25, 0.0, 0.0], 0.2)
+    ia = run.add(a)
+    ib = run.add(b)
+    assert not run.coverage[ia].open_pieces(0, 1)
+    run.remove(ib)
+    cov = run.coverage[ia]
+    assert all(state is None for pieces in cov.edges.values() for _, _, state in pieces)
+    assert cov.open_length(0, 1) == pytest.approx(2.0 * a.r)
 
 
 def test_domain_clip_strikes_outside_edge():
@@ -145,7 +212,7 @@ def test_domain_clip_strikes_outside_edge():
         base = [0.0, 0.0, 0.0]
         base[axis] = side * patch.r
         outside = patch.frame.to_world(base)[0] < -0.09
-        assert (cov.intervals(axis, side) == []) == outside
+        assert (cov.open_pieces(axis, side) == []) == outside
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +275,39 @@ def test_fold_tip_welds_without_component_refinement(monkeypatch):
     run = certified_surface_approximation(system, start, 0.1, 0.125, max_boxes=7)
     assert run.truncated and run.live_count() == 7
     assert len({run.find(pid) for pid, _ in run.live_patches()}) == 1
+
+
+def test_saddle_clip_cover_rechecks_by_oriented_box_containment():
+    # The saddle-clip benchmark input (seed 201) ends natural.  Every piece
+    # of every edge is then clipped or covered; each covered piece is
+    # re-checked through obox_contains on an oriented box over the piece.
+    system = AnalyticSystem.from_source(
+        "variables = x y z\n0.25*x^2 - 0.125*x*y^2 - z = 0\n"
+    )
+    start = (-0.01731590964962385, -0.006976017826692904, 7.506551621197627e-05)
+    run = certified_surface_approximation(
+        system, start, 0.125, 0.125, domain=[(-0.3, 0.3)] * 3
+    )
+    assert run.natural and run.live_count() == 11
+    checked = 0
+    for pid, patch in run.live_patches():
+        # radii are 0.125 * 2^-k, so piece centres and half-lengths are exact
+        assert math.frexp(patch.r)[0] == 0.5
+        for (axis, side), pieces in run.coverage[pid].edges.items():
+            assert _tiles_edge(pieces)
+            for level, index, state in pieces:
+                assert state is not None
+                if state == _CLIPPED:
+                    continue
+                lo, hi = EdgeCoverage.bounds(level, index)
+                center = [side * patch.r] * 2 + [0.0]
+                center[1 - axis] = 0.5 * (lo + hi) * patch.r
+                radii = [0.0, 0.0, patch.r_fiber]
+                radii[1 - axis] = 0.5 * (hi - lo) * patch.r
+                assert run.patches[state] is not None
+                assert obox_contains(run.cube(state), patch.frame.box_at(center, radii))
+                checked += 1
+    assert checked > 0
 
 
 def test_surface_requires_two_dimensional_variety():

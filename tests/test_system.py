@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from certsurf.errors import ConfigError, LinearAlgebraError
 from certsurf.intervals import Interval, IntervalBox
 from certsurf.parser import parse_expression
-from certsurf.system import AnalyticSystem, linear_form
+from certsurf.system import AnalyticSystem
 
 XYZ = ["x", "y", "z"]
 
@@ -79,27 +79,6 @@ def test_sphere_sub_jacobian_is_2z():
     assert sub == [(Interval(1.9, 2.1),)]
     jb = [row[:2] for row in full.rows]
     assert jb[0][0] == Interval(-0.1, 0.1)
-
-
-def test_augmented_facet_system():
-    s = sphere()
-    plane = linear_form([0.0, 0.0, 1.0], 0.5)  # z - 0.5 = 0
-    g = s.augmented(plane)
-    assert (g.n, g.m, g.d) == (3, 2, 1)
-    v = g.eval_point([np.sqrt(0.75), 0.0, 0.5])
-    assert v == pytest.approx([0.0, 0.0], abs=1e-15)
-    np.testing.assert_allclose(
-        g.jacobian_point([0.0, np.sqrt(0.75), 0.5]),
-        [[0.0, 2 * np.sqrt(0.75), 1.0], [0.0, 0.0, 1.0]],
-        atol=1e-15,
-    )
-
-
-def test_linear_form_folding():
-    e = linear_form([1.0, 0.0, 1.0], 0.0)
-    assert e.eval_point([3.0, 99.0, 4.0]) == 7.0
-    with pytest.raises(ValueError):
-        linear_form([], 1.0)
 
 
 def _rotation_z90():
