@@ -10,7 +10,11 @@ the rounding in V itself is accounted for.
 The frame and box methods here are the only place where the local <-> world
 map is enclosed (``TransformedSystem`` evaluates through ``image_box`` too),
 and ``within`` is the one test that a local box lies inside given radii.
-Frames and boxes enclose V and V^{-1} once, when built, and keep both.
+Frames enclose V and V^{-1} once, when built, and keep both; boxes keep
+V^{-1}.  Single boxes go through the scalar ``IntervalMatrix``; the pair
+geometry (``frame_map``, ``obox_contains``, ``obox_disjoint``) works on
+endpoint arrays, since it maps many boxes, or one box onto many axes, at
+once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intervals import Interval, IntervalBox, IntervalMatrix, add_up
+from .intervals import (
+    Interval,
+    IntervalBox,
+    IntervalMatrix,
+    add_up,
+    array_add,
+    array_dot,
+    array_matvec,
+)
 from .linalg import orthogonal_inverse_enclosure, svd_factor
 
 __all__ = [
@@ -40,22 +52,10 @@ def image_box(center, iv: IntervalMatrix, local_box: IntervalBox) -> IntervalBox
     return IntervalBox([Interval.point(c) + s for c, s in zip(center, spread.parts)])
 
 
-def _local_image(center, v_inv: IntervalMatrix, world_box: IntervalBox) -> IntervalBox:
-    """Enclosure of {V^{-1} (w - center) : w in world_box}."""
-    return v_inv.matvec(world_box.sub_point(center))
-
-
-def within(local: IntervalBox, radii, axes=None) -> bool:
-    """True only if each listed coordinate of ``local`` lies in [-r, r].
-
-    ``axes`` restricts the check to the listed coordinates (all by default).
-    """
-    for i in range(len(radii)) if axes is None else axes:
-        p = local.parts[i]
-        r = radii[i]
-        if not (-r <= p.lo and p.hi <= r):
-            return False
-    return True
+def within(local, radii) -> bool:
+    """True only if the local box, an endpoint pair, lies in [-r, r] per coordinate."""
+    r = np.asarray(radii)
+    return bool(np.all((-r <= local[0]) & (local[1] <= r)))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -86,7 +86,7 @@ class CoordinateFrame:
 
     def world_to_local_box(self, world_box: IntervalBox) -> IntervalBox:
         """Rigorous enclosure of V^{-1} (w - center) over the given box."""
-        return _local_image(self.center, self.v_inv, world_box)
+        return self.v_inv.matvec(world_box.sub_point(self.center))
 
     def box(self, radii) -> "OrientedBox":
         """Oriented box of the given per-axis radii around the frame center."""
@@ -138,7 +138,7 @@ def tangent_align(system, z_hat) -> tuple[CoordinateFrame, "object"]:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class OrientedBox:
-    """World-space box {center + V z : |z_i| <= radii_i} with cached V, V^{-1}.
+    """World-space box {center + V z : |z_i| <= radii_i} with cached V^{-1}.
 
     Radii are per-axis, ordered like the frame columns (base axes first).
     """
@@ -147,7 +147,6 @@ class OrientedBox:
     v: np.ndarray
     radii: tuple
     v_inv: IntervalMatrix = field(repr=False)
-    iv: IntervalMatrix = field(repr=False)
     # rigorous axis-aligned hull, ((lo, hi), ...), for fast disjointness
     aabb: tuple = field(repr=False)
 
@@ -171,7 +170,6 @@ class OrientedBox:
             v=v,
             radii=radii,
             v_inv=v_inv,
-            iv=iv,
             aabb=tuple((p.lo, p.hi) for p in hull.parts),
         )
 
@@ -179,81 +177,68 @@ class OrientedBox:
     def n(self) -> int:
         return len(self.center)
 
-    def local_box(self) -> IntervalBox:
-        return IntervalBox([Interval(-r, r) for r in self.radii])
-
     def world_hull(self) -> IntervalBox:
         return IntervalBox([Interval(lo, hi) for lo, hi in self.aabb])
 
 
-def frame_map(outer, inner) -> tuple[IntervalBox, IntervalMatrix]:
-    """Enclosure (offset, M) of the map from inner's local coordinates to outer's.
+def frame_map(outer, inner) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosure of the map from inner's local coordinates to outer's.
 
-    ``outer`` and ``inner`` are frames or oriented boxes.  The local point z
-    of ``inner`` lies at outer-local offset + M z, with offset enclosing
+    ``outer`` and ``inner`` are frames or oriented boxes.  The result is the
+    n x (n+1) endpoint pair [offset | M]: the local point z of ``inner`` lies
+    at outer-local offset + M z, with offset enclosing
     V_outer^{-1} (c_inner - c_outer) and M enclosing V_outer^{-1} V_inner.
-    Building both once per pair leaves one ``matvec`` per mapped box.
+    ``array_matvec`` of it and (1, z) maps a batch of local boxes at once.
     """
-    offset = _local_image(outer.center, outer.v_inv, IntervalBox.point(inner.center))
-    return offset, outer.v_inv.matmul(inner.iv)
+    c_in = np.asarray(inner.center)
+    c_out = np.asarray(outer.center)
+    shift = array_add((c_in, c_in), (-c_out, -c_out))
+    cols_lo = np.vstack([shift[0], inner.v.T])
+    cols_hi = np.vstack([shift[1], inner.v.T])
+    # row j of cols is column j of [c_inner - c_outer | V_inner]
+    lo, hi = array_matvec(outer.v_inv.ends(), (cols_lo, cols_hi))
+    return lo.T, hi.T
 
 
-def _inner_local_image(outer: OrientedBox, inner: OrientedBox) -> IntervalBox:
-    """Enclosure of inner's region expressed in outer's local coordinates."""
-    offset, mixed = frame_map(outer, inner)
-    spread = mixed.matvec(inner.local_box())
-    return IntervalBox([o + s for o, s in zip(offset.parts, spread.parts)])
+def _local_span(radii) -> tuple[np.ndarray, np.ndarray]:
+    """(1, [-r_1, r_1], ...) as an endpoint pair, the argument of an affine map."""
+    r = np.asarray(radii, dtype=float)
+    one = np.ones(r.shape[:-1] + (1,))
+    return np.concatenate([one, -r], axis=-1), np.concatenate([one, r], axis=-1)
 
 
-def obox_contains(
-    outer: OrientedBox,
-    inner: OrientedBox,
-    axes: tuple[int, ...] | None = None,
-) -> bool:
-    """True only if inner is provably a subset of outer.
-
-    ``axes`` restricts the check to the listed outer coordinates.
-    """
-    return within(_inner_local_image(outer, inner), outer.radii, axes)
+def obox_contains(outer: OrientedBox, inner: OrientedBox) -> bool:
+    """True only if inner is provably a subset of outer."""
+    return within(array_matvec(frame_map(outer, inner), _local_span(inner.radii)), outer.radii)
 
 
-def _projections(axes: IntervalMatrix, box: OrientedBox) -> list[Interval]:
-    """Rigorous intervals enclosing {w . x : x in box}, one per row w of ``axes``.
-
-    Each sum starts at the centre term w . c and adds (w V)_j [-r_j, r_j]
-    in axis order; that order fixes every rounding step.
-    """
-    centers = axes.matvec(IntervalBox.point(box.center)).parts
-    coeffs = axes.matmul(box.iv).rows
-    spans = [Interval(-r, r) for r in box.radii]
-    out = []
-    for total, row in zip(centers, coeffs):
-        for c, span in zip(row, spans):
-            total = total + c * span
-        out.append(total)
-    return out
+# index maps of the 3-d cross product: (u x v)_k = u_{k+1} v_{k+2} - u_{k+2} v_{k+1}
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
 
 
 def obox_disjoint(a: OrientedBox, b: OrientedBox) -> bool:
     """True only if the two boxes are provably disjoint (conservative).
 
-    Separating-axis candidates: world axes (via the cached hulls), both
-    frames' columns, and in dimension 3 all 9 pairwise cross products.
-    Candidate axes are float guesses, but each projection is an interval
-    enclosure, so a reported separation is always genuine.
+    Separating-axis candidates (Gottschalk, Lin and Manocha, "OBBTree",
+    1996): world axes (via the cached hulls), both frames' columns, and in
+    dimension 3 all 9 pairwise cross products.  Candidate axes are float
+    guesses, but each projection is an interval enclosure, so a reported
+    separation is always genuine.  Both boxes are projected onto every
+    candidate in one pass: box s projects onto row w of the axes as
+    w . c_s + sum_j (w . V_s e_j) [-r_j, r_j].
     """
     for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb):
         if ahi < blo or bhi < alo:
             return True
     axes = [a.v.T, b.v.T]
     if a.n == 3:
-        for i in range(3):
-            for j in range(3):
-                w = np.cross(a.v[:, i], b.v[:, j])
-                if np.max(np.abs(w)) > 1e-12:
-                    axes.append(w)
-    stacked = IntervalMatrix.from_floats(np.vstack(axes))
-    return any(
-        pa.hi < pb.lo or pb.hi < pa.lo
-        for pa, pb in zip(_projections(stacked, a), _projections(stacked, b))
-    )
+        # row 3i + j is column i of V_a cross column j of V_b
+        u, v = a.v.T[:, None, :], b.v.T[None, :, :]
+        axes.append((u[..., _NEXT] * v[..., _PREV] - u[..., _PREV] * v[..., _NEXT]).reshape(9, 3))
+    w = np.vstack(axes)[None, :, None, :]
+    # cols[s, j] is column j of [c_s | V_s]
+    cols = np.stack([np.vstack([box.center, box.v.T]) for box in (a, b)])[:, None, :, :]
+    coeffs = array_dot((w, w), (cols, cols))
+    lo, hi = array_matvec(coeffs, _local_span([a.radii, b.radii]))
+    return bool(np.any(hi[0] < lo[1]) or np.any(hi[1] < lo[0]))

@@ -17,13 +17,26 @@ intersection is the one operation that can come out empty; it returns
 None then, and its callers stop there. Operands are intervals, never
 floats: wrap a float with ``Interval.point``.
 
-All interval products go through one kernel. ``_mul_endpoints`` is the
-one sign-case table; ``Interval.__mul__`` uses it, and so does ``_dot``,
-the one outward dot product, which ``IntervalMatrix.matvec`` and
-``IntervalMatrix.matmul`` share. ``_dot`` sums its terms left to right
-from 0 with ``add_down``/``add_up``. Directed rounding is not
-associative, so that fixed order is what keeps every enclosure, and
-every certificate built from one, bit-stable.
+Interval products have two kernels, one per shape of work.
+
+* The scalar kernel serves ``Interval`` arithmetic and ``IntervalMatrix``:
+  expression evaluation, Krawczyk tests, frame images of single boxes.
+  ``_mul_endpoints`` is its one sign-case table; ``Interval.__mul__`` uses
+  it, and so does ``_dot``, the one outward dot product, which
+  ``IntervalMatrix.matvec`` and ``IntervalMatrix.matmul`` share.  These
+  callers make one small product at a time, where a Python loop over
+  ``Interval`` objects costs a few microseconds and numpy's per-call
+  overhead would cost tens.
+* The endpoint-array kernel (``array_add``, ``array_mul``, ``array_dot``,
+  ``array_matvec``) serves batched box geometry: the separating-axis test
+  and the edge-piece tests of surface growth, which push a few hundred
+  endpoint products through each call.  Its operands are (lo, hi) pairs of
+  float64 ndarrays; see ``array_dot`` for why it is sound and why it
+  contains the scalar kernel's result.
+
+Both kernels sum left to right in a fixed order.  Directed rounding is not
+associative, so that fixed order is what keeps every enclosure, and every
+certificate built from one, bit-stable.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import IntervalDomainError
 
@@ -455,6 +470,76 @@ def _dot(xs: Iterable[Interval], ys: Iterable[Interval]) -> Interval:
 
 
 # ---------------------------------------------------------------------------
+# endpoint arrays
+#
+# No ``@``, ``np.dot``, ``np.sum`` or ``matmul`` here: their summation order
+# is not fixed, and the soundness argument below needs a known one.  Overflow
+# and NaN are part of that argument, so numpy's warnings about them are off
+# (one errstate per function: numpy before 2.0 cannot nest one instance).
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def array_add(a, b):
+    """Outward (lo, hi) of a + b for endpoint pairs, elementwise."""
+    return np.nextafter(a[0] + b[0], -_INF), np.nextafter(a[1] + b[1], _INF)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def array_mul(a, b):
+    """Outward (lo, hi) of a * b for endpoint pairs, elementwise.
+
+    The product's extremes are among the four endpoint products; when both
+    operands are points (each pair holds one array twice) there is one.
+    """
+    if a[0] is a[1] and b[0] is b[1]:
+        p = a[0] * b[0]
+        return np.nextafter(p, -_INF), np.nextafter(p, _INF)
+    p, q, r, s = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
+    lo = np.minimum(np.minimum(p, q), np.minimum(r, s))
+    hi = np.maximum(np.maximum(p, q), np.maximum(r, s))
+    return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def array_dot(a, b):
+    """Outward (lo, hi) of sum(a * b) over the last axis, summed left to right from 0.
+
+    Soundness, for finite operands: each step is computed in round-to-nearest
+    and moved one ulp outward with ``np.nextafter``.  The exact result of a
+    step lies within half an ulp of its rounded value, so it lies between
+    that value's two neighbours; this holds for subnormal results, and for
+    overflow too (a result rounds to +inf only beyond the largest float, which
+    is inf's lower neighbour).  Rounding is monotone, so the least of the four
+    rounded endpoint products is the rounded least product.  Lower ends stay
+    below +inf and upper ends above -inf, so a dot product of finite operands
+    has no NaN.  Infinite operands can give NaN (inf * 0, inf - inf); NaN
+    means no enclosure, so every claim made from these arrays is a comparison
+    that is False on NaN.
+
+    The result contains the scalar ``_dot`` of the same operands, which runs
+    the same steps in the same order: each scalar step rounds to the nearest
+    value, to one ulp outward of it, or to an exact value, so it lies on or
+    inside the array step.  ``fl`` and ``nextafter`` are monotone, so by
+    induction over the sum every array partial sum lies on or outside the
+    scalar one.
+    """
+    lo, hi = array_mul(a, b)
+    s_lo = s_hi = 0.0
+    for k in range(lo.shape[-1]):
+        s_lo = np.nextafter(s_lo + lo[..., k], -_INF)
+        s_hi = np.nextafter(s_hi + hi[..., k], _INF)
+    return s_lo, s_hi
+
+
+def array_matvec(m, x):
+    """Outward m . x for an (..., r, k) matrix pair and (..., k) vector pair.
+
+    Both broadcast, so one call maps a batch of vectors.
+    """
+    return array_dot(m, (x[0][..., None, :], x[1][..., None, :]))
+
+
+# ---------------------------------------------------------------------------
 # boxes
 
 
@@ -507,11 +592,15 @@ class IntervalBox:
             parts.append(p)
         return IntervalBox(parts)
 
-    def contains_box(self, other: "IntervalBox") -> bool:
-        return all(a.contains_interval(b) for a, b in zip(self.parts, other.parts))
-
     def overlaps(self, other: "IntervalBox") -> bool:
         return all(a.overlaps(b) for a, b in zip(self.parts, other.parts))
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box as an endpoint pair for the array kernel."""
+        return (
+            np.array([p.lo for p in self.parts]),
+            np.array([p.hi for p in self.parts]),
+        )
 
     def midpoint(self) -> list[float]:
         return [p.midpoint() for p in self.parts]
@@ -598,6 +687,13 @@ class IntervalMatrix:
             raise ValueError("shape mismatch")
         cols = list(zip(*other.rows))
         return IntervalMatrix([[_dot(row, col) for col in cols] for row in self.rows])
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix as an endpoint pair for the array kernel."""
+        return (
+            np.array([[a.lo for a in row] for row in self.rows]),
+            np.array([[a.hi for a in row] for row in self.rows]),
+        )
 
     def norm_inf_up(self) -> float:
         """Upper bound on the max absolute row sum over all point matrices inside."""

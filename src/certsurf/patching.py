@@ -87,7 +87,7 @@ class CertifiedPatch:
 
     def slab_holds(self, world_box: IntervalBox) -> bool:
         """True only if the world box provably lies inside the slab."""
-        return within(self.frame.world_to_local_box(world_box), self.slab_radii)
+        return within(self.frame.world_to_local_box(world_box).ends(), self.slab_radii)
 
 
 def newton_polish(system, start) -> list[float]:

@@ -19,12 +19,14 @@ consecutive boxes:
   misses the domain leave the ledger too, and the union is the
   components' part inside the domain.
 
-The test costs one interval ``matmul`` per pair of patches and one
-``matvec`` per piece: no Newton step and no Krawczyk test.  A piece that
-no neighbour contains is halved while some neighbour's cube reaches it
-and it is longer than the floor.  What stays open is closed by spawning
-a patch on the edge, which is welded to every stored patch whose slab it
-touches, so the cover never joins two distinct sheets.
+The test costs one enclosure of the pair's affine map, then one
+evaluation on the endpoint-array kernel per round of pieces, where a round
+is every open piece of the four edges at once: no Newton step and no
+Krawczyk test.  A piece that no neighbour contains is halved while some
+neighbour's cube reaches it and it is longer than the floor.  What stays
+open is closed by spawning a patch on the edge, which is welded to every
+stored patch whose slab it touches, so the cover never joins two distinct
+sheets.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ATTEMPT_ERRORS, CertificationError
 from .frames import OrientedBox, frame_map, obox_disjoint
-from .intervals import Interval, IntervalBox
+from .intervals import Interval, IntervalBox, array_matvec, array_mul
 from .patching import CertifiedPatch, certify_box, component_test, inclusion_test
 from .system import AnalyticSystem
 
@@ -101,32 +103,38 @@ class EdgeCoverage:
         step = 2.0 ** (1 - level)
         return -1.0 + index * step, -1.0 + (index + 1) * step
 
-    def span(self, level: int, index: int) -> Interval:
-        """Outward enclosure of the piece on the running coordinate."""
-        return Interval(*self.bounds(level, index)) * Interval.point(self.r)
-
     def settle(self, decide) -> float:
-        """Let ``decide(axis, side, level, index)`` rule on every open piece.
+        """Let ``decide`` rule on every open piece, one round at a time.
 
-        It returns None to leave the piece open, ``_SPLIT`` to halve it and
-        rule on both halves, or the piece's new closed state.  Returns the
-        length closed.
+        A round is the list of open pieces of all four edges, as
+        (axis, side, level, index) tuples.  ``decide(pieces)`` returns one
+        state per piece: None to leave it open, ``_SPLIT`` to halve it, or
+        its new closed state.  The halves of split pieces form the next
+        round.  Returns the length closed.
         """
         closed = 0.0
-        for (axis, side), pieces in self.edges.items():
-            out = []
-            stack = pieces[::-1]
-            while stack:
-                level, index, state = stack.pop()
-                if state is None:
-                    state = decide(axis, side, level, index)
-                    if state == _SPLIT:
-                        stack += [(level + 1, 2 * index + 1, None), (level + 1, 2 * index, None)]
-                        continue
-                    if state is not None:
-                        closed += self.length(level)
-                out.append((level, index, state))
-            self.edges[(axis, side)] = out
+        kept = {key: [p for p in edge if p[2] is not None] for key, edge in self.edges.items()}
+        pieces = [
+            (axis, side, level, index)
+            for (axis, side), edge in self.edges.items()
+            for level, index, state in edge
+            if state is None
+        ]
+        while pieces:
+            halves = []
+            for (axis, side, level, index), state in zip(pieces, decide(pieces)):
+                if state == _SPLIT:
+                    halves += [
+                        (axis, side, level + 1, 2 * index),
+                        (axis, side, level + 1, 2 * index + 1),
+                    ]
+                    continue
+                if state is not None:
+                    closed += self.length(level)
+                kept[(axis, side)].append((level, index, state))
+            pieces = halves
+        for key, edge in kept.items():
+            self.edges[key] = sorted(edge, key=lambda p: self.bounds(p[0], p[1]))
         return closed
 
     def reopen(self, container: int) -> bool:
@@ -310,11 +318,26 @@ def _edge_exit_point(patch: CertifiedPatch, axis: int, side: int, t: float) -> n
     return None
 
 
-def _edge_slab(patch: CertifiedPatch, axis: int, side: int, span: Interval) -> IntervalBox:
-    """Frame-local slab over an edge stretch: pinned edge x span x fiber radius."""
-    local = [Interval.point(side * patch.r)] * 2
-    local[1 - axis] = span
-    return IntervalBox(local + [Interval(-patch.r_fiber, patch.r_fiber)] * patch.m)
+def _edge_slabs(patch: CertifiedPatch, pieces) -> tuple[np.ndarray, np.ndarray]:
+    """Frame-local slabs over edge pieces, each with a leading 1, as an endpoint pair.
+
+    Row p is (1, pinned edge, piece, fiber radius) for piece p: the argument
+    of an affine map ``[c | M]`` applied by ``array_matvec``.
+    """
+    axis, side, level, index = np.array(pieces).T
+    step = 2.0 ** (1 - level)
+    start = -1.0 + index * step
+    run_lo, run_hi = array_mul((start, start + step), (patch.r, patch.r))
+    lo = np.empty((len(pieces), 1 + patch.n))
+    lo[:, 0] = 1.0
+    lo[:, 1:3] = (side * patch.r)[:, None]
+    lo[:, 3:] = -patch.r_fiber
+    hi = lo.copy()
+    hi[:, 3:] = patch.r_fiber
+    rows = np.arange(len(pieces))
+    lo[rows, 2 - axis] = run_lo
+    hi[rows, 2 - axis] = run_hi
+    return lo, hi
 
 
 def coverage_update(run: SurfaceRun, target_id: int, container_id: int) -> float:
@@ -332,17 +355,17 @@ def coverage_update(run: SurfaceRun, target_id: int, container_id: int) -> float
     cov = run.coverage[target_id]
     if target is None or container is None or cov is None or cov.is_done():
         return 0.0
-    offset, mixed = frame_map(container.frame, target.frame)
+    chart = frame_map(container.frame, target.frame)
     r = container.r
 
-    def decide(axis: int, side: int, level: int, index: int) -> int | None:
-        slab = _edge_slab(target, axis, side, cov.span(level, index))
-        image = [o + p for o, p in zip(offset.parts, mixed.matvec(slab).parts)]
-        if all(-r < p.lo and p.hi < r for p in image):
-            return container_id
-        if level < _FLOOR_LEVEL and all(-r <= p.hi and p.lo <= r for p in image):
-            return _SPLIT
-        return None
+    def decide(pieces):
+        lo, hi = array_matvec(chart, _edge_slabs(target, pieces))
+        covered = np.all((-r < lo) & (hi < r), axis=1)
+        reaches = np.all((-r <= hi) & (lo <= r), axis=1)
+        return [
+            container_id if inside else _SPLIT if near and level < _FLOOR_LEVEL else None
+            for inside, near, (_, _, level, _) in zip(covered, reaches, pieces)
+        ]
 
     return cov.settle(decide)
 
@@ -363,14 +386,18 @@ def _clip_outside_domain(run: SurfaceRun, pid: int) -> None:
     cov = run.coverage[pid]
     if domain is None or patch is None or cov is None:
         return
+    chart = np.column_stack([patch.frame.center, patch.frame.v])
+    dom_lo, dom_hi = domain.ends()
 
-    def decide(axis: int, side: int, level: int, index: int) -> int | None:
-        box = patch.frame.to_world_box(_edge_slab(patch, axis, side, cov.span(level, index)))
-        if not box.overlaps(domain):
-            return _CLIPPED
-        if domain.contains_box(box) or level >= _CLIP_MAX_LEVEL:
-            return None
-        return _SPLIT
+    def decide(pieces):
+        lo, hi = array_matvec((chart, chart), _edge_slabs(patch, pieces))
+        clipped = np.any((hi < dom_lo) | (dom_hi < lo), axis=1)
+        meets = np.all((lo <= dom_hi) & (dom_lo <= hi), axis=1)
+        inside = np.all((dom_lo <= lo) & (hi <= dom_hi), axis=1)
+        return [
+            _CLIPPED if out else _SPLIT if near and not held and level < _CLIP_MAX_LEVEL else None
+            for out, near, held, (_, _, level, _) in zip(clipped, meets, inside, pieces)
+        ]
 
     cov.settle(decide)
 

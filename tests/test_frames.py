@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certsurf.frames import OrientedBox, obox_contains, obox_disjoint, tangent_align
 from certsurf.intervals import Interval, IntervalBox, IntervalMatrix
@@ -94,28 +96,16 @@ def test_obox_contains_basic():
     assert not obox_contains(outer, too_big)
 
 
-def test_obox_contains_restricted_axes():
-    outer = OrientedBox.make([0.0, 0.0, 0.0], np.eye(3), [1e-12, 1.0, 1.0])
-    inner = OrientedBox.make([0.0, 0.0, 0.0], np.eye(3), [0.5, 0.5, 0.5])
-    assert not obox_contains(outer, inner)
-    assert obox_contains(outer, inner, axes=(1, 2))
-    assert not obox_contains(outer, inner, axes=(0,))
-
-
 def test_obox_disjoint_rotated_pair():
     # axis-aligned cube vs the same cube rotated 45 degrees about z, both
     # with half-width 0.5: contact happens at center distance (1+sqrt(2))/2
     a = OrientedBox.make([0.0, 0.0, 0.0], np.eye(3), [0.5, 0.5, 0.5])
     b = OrientedBox.make([1.42, 0.0, 0.0], _rot_z(np.pi / 4), [0.5, 0.5, 0.5])
     assert obox_disjoint(a, b)
-    # certified gap along e1 matches the closed form 1.42 - (1+sqrt(2))/2
-    from certsurf.frames import _projections
-
-    e1 = IntervalMatrix.from_floats([[1.0, 0.0, 0.0]])
-    (pa,) = _projections(e1, a)
-    (pb,) = _projections(e1, b)
-    gap = pb.lo - pa.hi
-    assert 0.2128 <= gap <= 0.2130
+    # the separation is certified down to a gap of a few ulps along e1
+    contact = (1.0 + np.sqrt(2.0)) / 2.0
+    near = OrientedBox.make([contact + 1e-12, 0.0, 0.0], _rot_z(np.pi / 4), [0.5, 0.5, 0.5])
+    assert obox_disjoint(a, near)
 
     touching = OrientedBox.make([1.20, 0.0, 0.0], _rot_z(np.pi / 4), [0.5, 0.5, 0.5])
     assert not obox_disjoint(a, touching)
@@ -172,3 +162,81 @@ def _sample_points(rng: random.Random, box: OrientedBox, count: int):
     for corner in ([box.radii[0], box.radii[1], box.radii[2]], [-box.radii[0], box.radii[1], -box.radii[2]]):
         out.append(list(np.array(box.center) + box.v @ np.array(corner)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# array separating-axis test against a scalar oracle
+
+
+def _scalar_disjoint(a: OrientedBox, b: OrientedBox) -> bool:
+    """The separating-axis test on scalar intervals, over the same 15 axes."""
+    for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb):
+        if ahi < blo or bhi < alo:
+            return True
+    cross = [np.cross(a.v[:, i], b.v[:, j]) for i in range(3) for j in range(3)]
+    axes = IntervalMatrix.from_floats(np.vstack([a.v.T, b.v.T] + cross))
+
+    def projections(box):
+        centers = axes.matvec(IntervalBox.point(box.center)).parts
+        coeffs = axes.matmul(IntervalMatrix.from_floats(box.v)).rows
+        out = []
+        for total, row in zip(centers, coeffs):
+            for c, r in zip(row, box.radii):
+                total = total + c * Interval(-r, r)
+            out.append(total)
+        return out
+
+    return any(
+        pa.hi < pb.lo or pb.hi < pa.lo for pa, pb in zip(projections(a), projections(b))
+    )
+
+
+def _rotation(q) -> np.ndarray:
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+unit = st.floats(min_value=-1.0, max_value=1.0)
+quaternions = st.tuples(unit, unit, unit, unit).filter(lambda q: sum(t * t for t in q) > 0.01)
+radii = st.tuples(*[st.floats(min_value=1e-3, max_value=1.0)] * 3)
+
+
+@st.composite
+def box_pairs(draw):
+    va = _rotation(draw(quaternions))
+    vb = _rotation(draw(quaternions))
+    ra, rb = draw(radii), draw(radii)
+    ca = np.array(draw(st.tuples(unit, unit, unit)))
+    if draw(st.booleans()):
+        # touching along a face normal of a, up to a relative 1e-12
+        k = draw(st.integers(0, 2))
+        normal = va[:, k]
+        reach = ra[k] + sum(abs(normal @ vb[:, j]) * rb[j] for j in range(3))
+        cb = ca + reach * (1.0 + draw(st.floats(-1e-12, 1e-12))) * normal
+    else:
+        cb = ca + 2.0 * np.array(draw(st.tuples(unit, unit, unit)))
+    return OrientedBox.make(ca, va, ra), OrientedBox.make(cb, vb, rb)
+
+
+@given(box_pairs())
+@settings(max_examples=300, deadline=None)
+def test_obox_disjoint_claims_only_what_the_scalar_oracle_proves(pair):
+    a, b = pair
+    if obox_disjoint(a, b):
+        assert _scalar_disjoint(a, b)
+    assert obox_disjoint(a, b) == obox_disjoint(b, a)
+
+
+def test_overflowing_boxes_are_not_disjoint_and_do_not_raise():
+    # projections of these centres onto the rotated axes overflow to inf
+    c = [1.5e308, 1.5e308, 0.0]
+    a = OrientedBox.make(c, _rot_z(0.3), [1.0, 1.0, 1.0])
+    b = OrientedBox.make(c, _rot_z(1.1), [1.0, 1.0, 1.0])
+    assert not obox_disjoint(a, b)
+    assert not obox_contains(a, b)

