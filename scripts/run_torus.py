@@ -11,7 +11,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from certsurf.exports import verify_jsonl, write_surface_jsonl, write_surface_obj
-from certsurf.surface import certified_surface_approximation, post_process_trim
+from certsurf.surface import certified_surface_approximation
 from certsurf.system import AnalyticSystem
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
@@ -26,7 +26,6 @@ def main() -> int:
     run = certified_surface_approximation(
         system, (2.8, 0.0, 0.0), 0.1, 0.875, max_boxes=2400
     )
-    post_process_trim(run)
     elapsed = time.time() - t0
     json_path = OUT / "torus.jsonl"
     write_surface_jsonl(run, json_path)

@@ -23,7 +23,7 @@ from .exports import (
 )
 from .graph_cover import cover_graph
 from .intervals import Interval, IntervalBox
-from .surface import certified_surface_approximation, post_process_trim
+from .surface import certified_surface_approximation
 
 __all__ = ["cli_main", "main"]
 
@@ -127,7 +127,6 @@ def _cmd_approximate(args) -> int:
             domain=cfg.domain,
             max_boxes=cfg.max_boxes,
         )
-        post_process_trim(run)
     except ATTEMPT_ERRORS as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERT

@@ -23,17 +23,20 @@ __all__ = [
 ]
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> tuple[Fraction, float]:
+    """The literal's exact value and its nearest float."""
     try:
-        return Fraction(text.strip())
+        frac = Fraction(text.strip())
+        return frac, frac.numerator / frac.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not a number or ratio: {text!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"number beyond the float range: {text!r}") from exc
 
 
 def parse_ratio(text: str) -> float:
     """Parse a decimal or p/q literal to the nearest float."""
-    frac = _parse_fraction(text)
-    return frac.numerator / frac.denominator
+    return _parse_fraction(text)[1]
 
 
 def parse_ratio_down(text: str) -> float:
@@ -42,8 +45,7 @@ def parse_ratio_down(text: str) -> float:
     Contraction factors parsed this way land on or below the requested
     value, which is the sound side for a threshold of the form rho * r.
     """
-    frac = _parse_fraction(text)
-    value = frac.numerator / frac.denominator
+    frac, value = _parse_fraction(text)
     if abs(Fraction(value)) > abs(frac):
         value = math.nextafter(value, 0.0)
     return value

@@ -86,13 +86,9 @@ def write_surface_jsonl(run, path) -> int:
             "r": patch.r,
             "r_fiber": patch.r_fiber,
             "rho": patch.rho,
-            "color_tag": run.color_tags[pid],
+            "color_tag": "initial" if pid == 0 else "grown",
             "truncated": run.truncated,
             "certificate": _cert_fields(patch.cert),
-            "exclusions": [
-                [[lo, hi] for lo, hi in region]
-                for region in run.exclusions.get(pid, [])
-            ],
         }
         lines.append(json.dumps(rec, allow_nan=False))
     with open(path, "w") as fh:
@@ -347,7 +343,7 @@ Kd 0.62 0.62 0.62
 def write_surface_obj(run, path) -> int:
     """Write the live uniqueness cubes as an OBJ mesh; returns the box count.
 
-    The starting patch is tagged with the ``seed`` material, everything
+    The starting patch (id 0) is tagged with the ``seed`` material, everything
     else with ``grown``.  A sibling .mtl file provides both materials.
     """
     if run.system.n != 3:
@@ -362,8 +358,7 @@ def write_surface_obj(run, path) -> int:
         v = patch.frame.v
         mirrored = float(np.linalg.det(v)) < 0.0
         lines.append(f"o patch_{pid}")
-        tag = run.color_tags[pid]
-        lines.append("usemtl seed" if tag == "initial" else "usemtl grown")
+        lines.append("usemtl seed" if pid == 0 else "usemtl grown")
         for k in range(8):
             signs = np.array(
                 [1.0 if k & bit else -1.0 for bit in (4, 2, 1)]

@@ -24,9 +24,13 @@ evaluation on the endpoint-array kernel per round of pieces, where a round
 is every open piece of the four edges at once: no Newton step and no
 Krawczyk test.  A piece that no neighbour contains is halved while some
 neighbour's cube reaches it and it is longer than the floor.  What stays
-open is closed by spawning a patch on the edge, which is welded to every
-stored patch whose slab it touches, so the cover never joins two distinct
-sheets.
+open is closed by spawning a patch on the edge.
+
+Every patch after the first, spawned or certified over a refinement box of
+a patch it replaces, enters the run only once it is welded to the
+component of each live patch whose slab it touches, so the cover never
+joins two distinct sheets.  A replacement piece that does not weld is left
+out; its stretch of sheet stays open until growth closes it.
 """
 
 from __future__ import annotations
@@ -183,9 +187,10 @@ class SurfaceRun:
     """State and result of one surface approximation run.
 
     ``patches`` is indexed by patch id; replaced or dropped entries become
-    None so ids stay stable.  ``verdicts`` records component-test outcomes
-    by id pair.  ``exclusions`` maps a patch id to world-axis-aligned
-    regions in which the patch is known to overlap a foreign sheet's slab.
+    None so ids stay stable.  Every patch after the first (id 0) enters
+    welded by ``_reconcile`` to the component of each live patch whose
+    slab it touches, so live patches in different components never have
+    touching slabs.
     """
 
     system: AnalyticSystem
@@ -195,9 +200,6 @@ class SurfaceRun:
     max_boxes: int | None = None
     patches: list[CertifiedPatch | None] = field(default_factory=list)
     coverage: list[EdgeCoverage | None] = field(default_factory=list)
-    color_tags: list[str] = field(default_factory=list)
-    exclusions: dict[int, list[tuple[tuple[float, float], ...]]] = field(default_factory=dict)
-    verdicts: dict[frozenset, bool] = field(default_factory=dict)
     truncated: bool = False
     natural: bool = False
     _cubes: list[OrientedBox | None] = field(default_factory=list, repr=False)
@@ -205,7 +207,7 @@ class SurfaceRun:
     _parent: list[int] = field(default_factory=list, repr=False)
     _neighbors: list[set | None] = field(default_factory=list, repr=False)
 
-    def add(self, patch: CertifiedPatch, tag: str = "grown") -> int:
+    def add(self, patch: CertifiedPatch) -> int:
         """Store a patch and settle its ledger and its neighbours' both ways."""
         pid = len(self.patches)
         cube = patch.uniqueness_box()
@@ -216,7 +218,6 @@ class SurfaceRun:
         }
         self.patches.append(patch)
         self.coverage.append(EdgeCoverage(patch.r))
-        self.color_tags.append(tag)
         self._cubes.append(cube)
         self._slabs.append(patch.enclosure_box())
         self._parent.append(pid)
@@ -282,9 +283,6 @@ class SurfaceRun:
 
     def union(self, a: int, b: int) -> None:
         self._parent[self.find(a)] = self.find(b)
-
-    def same_component(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
 
 
 def _edge_exit_point(patch: CertifiedPatch, axis: int, side: int, t: float) -> np.ndarray | None:
@@ -402,20 +400,79 @@ def _clip_outside_domain(run: SurfaceRun, pid: int) -> None:
     cov.settle(decide)
 
 
+def _reconcile(
+    run: SurfaceRun, candidate: CertifiedPatch
+) -> tuple[list[int], list[tuple[int, list[OrientedBox]]]]:
+    """Decide the candidate's sheet against every live patch its slab touches.
+
+    Slabs that never meet cannot weld sheets together, so only touching
+    live patches are asked, grouped by component: a proven shared sheet
+    chains through the component structure, so one weld per component
+    suffices.  Each component is first probed with the cheap
+    ``inclusion_test`` both ways against every member, nearest first, and
+    welds on the first success: that is the same condition on which
+    ``component_test`` answers True, so the proof is unchanged.  Only a
+    component with no such member goes through ``component_test``'s slab
+    refinement, member by member until one welds.
+
+    Returns (welded, conflicts): one welded member per decided component,
+    and (member, refinement of its boxes) per member proven to carry
+    another sheet, up to the first component where no member welds.  The
+    candidate may enter only without conflicts.  An undecided pair raises
+    ``component_test``'s ``CertificationError``.
+    """
+    cand_slab = candidate.enclosure_box()
+    cand_center = np.asarray(candidate.frame.center)
+    groups: dict[int, list[int]] = {}
+    for other in run.live_ids():
+        if not obox_disjoint(cand_slab, run.slab(other)):
+            groups.setdefault(run.find(other), []).append(other)
+    welded: list[int] = []
+    conflicts: list[tuple[int, list[OrientedBox]]] = []
+    for members in groups.values():
+        stored = {q: run.patches[q] for q in members}
+        members.sort(
+            key=lambda q: float(np.linalg.norm(np.asarray(stored[q].frame.center) - cand_center))
+        )
+        probed = next(
+            (
+                q
+                for q in members
+                if inclusion_test(stored[q], candidate) or inclusion_test(candidate, stored[q])
+            ),
+            None,
+        )
+        if probed is not None:
+            welded.append(probed)
+            continue
+        for q in members:
+            same, ref_stored, _ = component_test(stored[q], candidate)
+            if same:
+                welded.append(q)
+                break
+            conflicts.append((q, ref_stored))
+        else:
+            break
+    return welded, conflicts
+
+
 def _replace_with_refinements(
     run: SurfaceRun, pid: int, refinement: list[OrientedBox], queue: deque
-) -> list[int]:
+) -> None:
     """Swap a stored patch for certified patches over its refinement boxes.
 
-    Replacement ledgers start fully open and settle by containment as the
-    pieces enter the run.  The parent's former neighbours go back on the
-    queue, since pieces the parent covered reopen in their ledgers.
+    Each piece enters as a spawned patch does, welded by ``_reconcile``.
+    A piece that conflicts, or whose component question stays undecided,
+    is left out with no nested replacement: its stretch of sheet stays
+    open in the neighbours' ledgers, and growth closes it.  Replacement
+    ledgers start fully open and settle by containment as the pieces
+    enter.  The parent's former neighbours go back on the queue, since
+    pieces the parent covered reopen in their ledgers.
     """
     parent = run.patches[pid]
     assert parent is not None
     queue.extend(run.neighbors(pid))
     run.remove(pid)
-    new_ids = []
     for box in refinement:
         r_seed = max(box.radii[: parent.d])
         try:
@@ -425,32 +482,27 @@ def _replace_with_refinements(
                 f"replacement piece near {tuple(round(c, 6) for c in box.center)} "
                 f"failed to certify: {exc}"
             ) from exc
+        try:
+            welded, conflicts = _reconcile(run, piece)
+        except CertificationError:
+            continue
+        if conflicts:
+            continue
         new_pid = run.add(piece)
-        # the pieces carry the parent's sheet, so they stay in its component
-        run.union(new_pid, pid)
+        for other in welded:
+            run.union(new_pid, other)
         queue.append(new_pid)
-        new_ids.append(new_pid)
-    return new_ids
 
 
 def _spawn(
     run: SurfaceRun, pid: int, axis: int, side: int, t_hat: float, queue: deque
 ) -> int | None:
-    """Certify a new patch just outside the edge and reconcile sheets.
+    """Certify a new patch just outside the edge and weld it into the run.
 
-    The candidate is reconciled with every stored patch whose enclosure
-    slab its own slab touches; slabs that never meet cannot weld sheets
-    together, so no verdict is needed there.  Same-sheet verdicts chain
-    through the component structure, so one weld per touched component
-    suffices.  Each component is first probed with the cheap
-    ``inclusion_test`` both ways against every member, nearest first, and
-    welds on the first success: that is the same condition on which
-    ``component_test`` answers True, so the proof is unchanged.  Only a
-    component with no such member goes through ``component_test``'s slab
-    refinement.  A False verdict replaces that stored patch with its
-    refinement and retries at half the seed radius; only when every
-    touched component is provably same-sheet does the candidate enter the
-    run.
+    The candidate enters only once ``_reconcile`` has welded it to every
+    component its slab touches.  Otherwise it is retried at half the seed
+    radius, after each stored patch proven to carry another sheet has
+    been replaced by its refinement.
     """
     target = run.patches[pid]
     assert target is not None
@@ -463,53 +515,9 @@ def _spawn(
             candidate = certify_box(run.system, z_world, seed, run.rho)
         except ATTEMPT_ERRORS:
             return None
-        cand_slab = candidate.enclosure_box()
-        cand_center = np.asarray(candidate.frame.center)
-        groups: dict[int, list[int]] = {}
-        for other in run.live_ids():
-            if obox_disjoint(cand_slab, run.slab(other)):
-                continue
-            groups.setdefault(run.find(other), []).append(other)
-        conflicts: list[tuple[int, list[OrientedBox]]] = []
-        passed: list[int] = []
-        aborted = False
-        for members in groups.values():
-            members.sort(
-                key=lambda q: float(
-                    np.linalg.norm(
-                        np.asarray(run.patches[q].frame.center) - cand_center
-                    )
-                )
-            )
-            probed = next(
-                (
-                    other
-                    for other in members
-                    if inclusion_test(run.patches[other], candidate)
-                    or inclusion_test(candidate, run.patches[other])
-                ),
-                None,
-            )
-            if probed is not None:
-                passed.append(probed)
-                continue
-            welded = False
-            for other in members:
-                stored = run.patches[other]
-                assert stored is not None
-                try:
-                    same, ref_stored, _ = component_test(stored, candidate)
-                except CertificationError:
-                    aborted = True
-                    break
-                if same:
-                    passed.append(other)
-                    welded = True
-                    break
-                conflicts.append((other, ref_stored))
-            if aborted or (not welded and conflicts):
-                break
-        if aborted:
+        try:
+            welded, conflicts = _reconcile(run, candidate)
+        except CertificationError:
             seed = 0.5 * candidate.r
             if seed < target.r * 2.0**-12:
                 raise CertificationError(
@@ -518,8 +526,7 @@ def _spawn(
             continue
         if not conflicts:
             new_pid = run.add(candidate)
-            for other in passed:
-                run.verdicts[frozenset((new_pid, other))] = True
+            for other in welded:
                 run.union(new_pid, other)
             queue.append(new_pid)
             return new_pid
@@ -568,7 +575,7 @@ def certified_surface_approximation(
         max_boxes=max_boxes,
     )
     first = certify_box(system, start, r_initial, rho)
-    run.add(first, tag="initial")
+    run.add(first)
     queue: deque[int] = deque([0])
     stalls: dict[tuple, int] = {}
     pops_since_progress = 0
@@ -616,64 +623,11 @@ def certified_surface_approximation(
     return run
 
 
-def _aabb_intersection(
-    a: tuple[tuple[float, float], ...], b: tuple[tuple[float, float], ...]
-) -> tuple[tuple[float, float], ...] | None:
-    out = []
-    for (alo, ahi), (blo, bhi) in zip(a, b):
-        lo = max(alo, blo)
-        hi = min(ahi, bhi)
-        if hi < lo:
-            return None
-        out.append((lo, hi))
-    return tuple(out)
-
-
 def post_process_trim(run: SurfaceRun) -> SurfaceRun:
-    """Resolve remaining slab overlaps between live patches.
+    """Return the run unchanged: every patch was welded when it entered.
 
-    Every touching live pair without a recorded same-sheet verdict is
-    component-tested.  Pairs on distinct sheets are replaced by their
-    refinements and the shared region is recorded as exclusion metadata on
-    each replacement piece it touches; no box is dropped.
+    This stays only because ``perfbench/workloads.py`` and
+    ``perfbench/tracer.py`` call it by name; a benchmark change drops
+    that call and this function.
     """
-    if run.truncated:
-        return run
-    queue: deque[int] = deque()
-    pending = deque(
-        (i, j)
-        for idx, (i, _) in enumerate(run.live_patches())
-        for j, _ in run.live_patches()[idx + 1 :]
-    )
-    while pending:
-        i, j = pending.popleft()
-        pi = run.patches[i]
-        pj = run.patches[j]
-        if pi is None or pj is None:
-            continue
-        key = frozenset((i, j))
-        if run.verdicts.get(key) or run.same_component(i, j):
-            continue
-        if obox_disjoint(run.slab(i), run.slab(j)):
-            continue
-        same, ref_i, ref_j = component_test(pi, pj)
-        run.verdicts[key] = same
-        if same:
-            run.union(i, j)
-            continue
-        region = _aabb_intersection(run.cube(i).aabb, run.cube(j).aabb)
-        new_i = _replace_with_refinements(run, i, ref_i, queue)
-        new_j = _replace_with_refinements(run, j, ref_j, queue)
-        for pid in new_i + new_j:
-            if region is None:
-                continue
-            if _aabb_intersection(run.cube(pid).aabb, region) is not None:
-                run.exclusions.setdefault(pid, []).append(region)
-        for pid in new_i:
-            for qid in new_j:
-                run.verdicts[frozenset((pid, qid))] = False
-        for pid in new_i + new_j:
-            for other in run.live_ids():
-                if other != pid and frozenset((pid, other)) not in run.verdicts:
-                    pending.append((pid, other))
     return run

@@ -497,6 +497,21 @@ def test_cli_bad_config_exits_3(tmp_path):
     assert cli_main(["approximate", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("flag", ["--r", "--rho"])
+def test_cli_number_beyond_float_range_exits_3(flag, capsys):
+    argv = ["approximate", "--variables", "x y z", "--equation", "x^2 + y^2 + z^2 - 1"]
+    assert cli_main(argv + ["--start", "0 0 1", flag, "1e400"]) == 3
+    assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["r", "rho"])
+def test_cli_config_number_beyond_float_range_exits_3(key, tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SPHERE_CFG + f"{key} = -1e400\n")
+    assert cli_main(["approximate", str(cfg)]) == 3
+    assert "float range" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exits_3(capsys):
     assert cli_main(["frobnicate"]) == 3
     capsys.readouterr()

@@ -168,7 +168,7 @@ def test_refine_respects_bracket_fuzz():
         except (RefinementStalledError,) as _:
             continue
         hits += 1
-        assert bracket[0].contains_interval(encl[0])
+        assert bracket[0].lo <= encl[0].lo and encl[0].hi <= bracket[0].hi
         resid = s.eval_point([bx, by, center[0]])[0]
         assert abs(resid) < 1e-9
     assert hits > 20

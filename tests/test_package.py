@@ -71,3 +71,16 @@ def test_traced_names_resolve(target):
     else:
         owner = getattr(module, owner_name)
         assert callable(vars(owner).get(attr)), f"{module_name}.{owner_name}.{attr} is gone"
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_import(path):
+    # the example scripts take minutes to run, so no test runs them; importing
+    # each one still catches a library name they use that is gone
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert callable(script.main)

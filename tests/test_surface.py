@@ -1,13 +1,15 @@
-"""Surface growth driver: boundary coverage, clipping, trim, full runs."""
+"""Surface growth driver: boundary coverage, clipping, sheet reconciliation, full runs."""
 
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from certsurf import surface
 from certsurf.errors import CertificationError
+from certsurf.exports import read_jsonl, write_surface_jsonl
 from certsurf.frames import obox_contains, obox_disjoint, tangent_align
 from certsurf.intervals import Interval, IntervalBox
 from certsurf.patching import certify_box
@@ -18,9 +20,10 @@ from certsurf.surface import (
     SurfaceRun,
     _clip_outside_domain,
     _edge_exit_point,
+    _reconcile,
+    _replace_with_refinements,
     certified_surface_approximation,
     coverage_update,
-    post_process_trim,
 )
 from certsurf.system import AnalyticSystem
 
@@ -254,12 +257,18 @@ def test_overflowing_edge_geometry_stays_conservative():
 # full runs
 
 
-def test_plane_run_tiles_domain():
+def test_plane_run_tiles_domain(tmp_path):
     run = certified_surface_approximation(
         PLANE, (0.0, 0.0, 0.0), 0.1, 0.125, domain=[(-1.0, 1.0)] * 3
     )
     assert run.natural and not run.truncated
-    assert run.color_tags[0] == "initial"
+    write_surface_jsonl(run, tmp_path / "plane.jsonl")
+    _, records = read_jsonl(tmp_path / "plane.jsonl")
+    assert [(rec["id"], rec["color_tag"]) for rec in records[:2]] == [
+        (0, "initial"),
+        (1, "grown"),
+    ]
+    assert all(rec["color_tag"] == "grown" for rec in records[1:])
     assert all(abs(p.frame.center[2]) < 1e-12 for _, p in run.live_patches())
     rng = np.random.default_rng(5)
     for x, y in rng.uniform(-1.0, 1.0, size=(300, 2)):
@@ -343,6 +352,7 @@ def test_saddle_clip_cover_rechecks_by_oriented_box_containment():
                 assert obox_contains(run.cube(state), patch.frame.box_at(center, radii))
                 checked += 1
     assert checked > 0
+    assert _foreign_touching_pairs(run) == []
 
 
 def test_surface_requires_two_dimensional_variety():
@@ -359,49 +369,34 @@ def test_domain_must_match_ambient_dimension():
 
 
 # ---------------------------------------------------------------------------
-# trim pass
+# sheet reconciliation
 
 
-def _engaged_fold_run():
+def _foreign_touching_pairs(run):
+    """Live pairs in different components whose slabs touch."""
+    live = run.live_ids()
+    return [
+        (a, b)
+        for k, a in enumerate(live)
+        for b in live[k + 1 :]
+        if run.find(a) != run.find(b) and not obox_disjoint(run.slab(a), run.slab(b))
+    ]
+
+
+def test_reconcile_replaces_entangled_sheets():
+    # up and down lie on the two sheets of the fold, and their slabs meet
     run = SurfaceRun(system=FOLD, rho=0.125, r_initial=0.1)
     up = certify_box(FOLD, (0.0025, 0.0, 0.05), 0.1, 0.125)
     down = certify_box(FOLD, (0.0025, 0.0, -0.05), 0.1, 0.125)
     run.add(up)
-    run.add(down)
-    return run
-
-
-def test_trim_replaces_entangled_sheets():
-    run = _engaged_fold_run()
-    assert not obox_disjoint(run.slab(0), run.slab(1))
-    post_process_trim(run)
-    assert run.verdicts[frozenset((0, 1))] is False
-    assert run.patches[0] is None and run.patches[1] is None
-    assert run.live_count() > 2
-    assert run.exclusions, "shared region should be recorded on replacements"
-    for pid, regions in run.exclusions.items():
-        assert run.patches[pid] is not None
-        assert all(hi > lo for region in regions for lo, hi in region)
-
-
-def test_trim_skips_truncated_runs():
-    run = _engaged_fold_run()
-    run.truncated = True
-    post_process_trim(run)
-    assert run.patches[0] is not None and run.patches[1] is not None
-    assert not run.verdicts
-
-
-def test_trim_keeps_partially_excluded_box():
-    # exclusions are metadata only: trim never drops a box because of them
-    run = _engaged_fold_run()
-    post_process_trim(run)
-    survivor = run.live_ids()[0]
-    aabb = run.cube(survivor).aabb
-    half = tuple(
-        (lo, 0.5 * (lo + hi)) if k == 0 else (lo, hi)
-        for k, (lo, hi) in enumerate(aabb)
-    )
-    run.exclusions[survivor] = [half]
-    post_process_trim(run)
-    assert run.patches[survivor] is not None
+    assert not obox_disjoint(run.slab(0), down.enclosure_box())
+    welded, conflicts = _reconcile(run, down)
+    assert welded == [] and [pid for pid, _ in conflicts] == [0]
+    refinement = conflicts[0][1]
+    queue = deque()
+    _replace_with_refinements(run, 0, refinement, queue)
+    assert run.patches[0] is None
+    # each piece entered welded; the pieces that met another sheet stayed out
+    assert 1 < run.live_count() < len(refinement)
+    assert sorted(queue) == run.live_ids()
+    assert _foreign_touching_pairs(run) == []
