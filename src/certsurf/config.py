@@ -8,6 +8,7 @@ and dropped.  Blank lines and lines starting with ``#`` are skipped.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,10 +24,26 @@ __all__ = [
 ]
 
 
+# A decimal literal's mantissa and exponent, when it has an exponent.
+_EXPONENT = r"([^/\s]*)[eE]([-+]?\d+(?:_\d+)*)"
+
+
 def _parse_fraction(text: str) -> tuple[Fraction, float]:
-    """The literal's exact value and its nearest float."""
+    """The literal's exact value and its nearest float.
+
+    Building the exact value costs 10**exponent, so a decimal exponent is
+    bounded first.  Past the literal's length + 400, a nonzero literal lies
+    far outside the float range (decimal exponents -324 to 308): above it
+    is an error, below it reads as 0, whose nearest float it shares.
+    """
+    text = text.strip()
     try:
-        frac = Fraction(text.strip())
+        split = re.fullmatch(_EXPONENT, text)
+        if split and abs(int(split[2])) > len(text) + 400:
+            if Fraction(split[1]) and int(split[2]) > 0:
+                raise OverflowError
+            text = "0"
+        frac = Fraction(text)
         return frac, frac.numerator / frac.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not a number or ratio: {text!r}") from exc

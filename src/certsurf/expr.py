@@ -1,12 +1,13 @@
 """Expression trees for analytic equation systems.
 
-Nodes: variable, numeric constant, unary negate/sqrt/square, binary
-add/sub/mul/div, and integer powers. Interval evaluation is the natural
-extension computed node by node with outward rounding; integer powers use
-the tight monomial rule (even powers never dip below zero). Point
-evaluation is plain float arithmetic for use inside approximate Newton
-steps. Derivatives are built symbolically once via smart constructors
-that fold exact-constant subtrees and drop 0/1 identities.
+Nodes: variable, numeric constant, unary negate/sqrt, binary
+add/sub/mul/div, and integer powers; a square is ``Pow(x, 2)``. Interval
+evaluation is the natural extension computed node by node with outward
+rounding; integer powers use the tight monomial rule (even powers never
+dip below zero). Point evaluation is plain float arithmetic for use
+inside approximate Newton steps. Derivatives are built symbolically once
+via smart constructors that fold exact-constant subtrees and drop 0/1
+identities.
 """
 
 from __future__ import annotations
@@ -156,38 +157,8 @@ class Sqrt(Expr):
         return f"Sqrt({self.arg!r})"
 
 
-class Square(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        self.arg = arg
-
-    def eval_point(self, coords):
-        v = self.arg.eval_point(coords)
-        return v * v
-
-    def eval_interval(self, box):
-        return self.arg.eval_interval(box).power(2)
-
-    def derivative(self, var):
-        du = self.arg.derivative(var)
-        return mul(mul(Const(2.0), self.arg), du)
-
-    def max_var(self):
-        return self.arg.max_var()
-
-    def __eq__(self, other):
-        return isinstance(other, Square) and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("square", self.arg))
-
-    def __repr__(self):
-        return f"Square({self.arg!r})"
-
-
 class Pow(Expr):
-    """Integer power with exponent outside {0, 1, 2} (those fold away)."""
+    """Integer power with exponent outside {0, 1} (those fold away)."""
 
     __slots__ = ("base", "exponent")
 
@@ -311,7 +282,7 @@ class Div(_Binary):
         du = self.left.derivative(var)
         dv = self.right.derivative(var)
         num = sub(mul(du, self.right), mul(self.left, dv))
-        return div(num, square(self.right))
+        return div(num, power(self.right, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +365,16 @@ def div(a: Expr, b: Expr) -> Expr:
     return Div(a, b)
 
 
-def square(a: Expr) -> Expr:
-    c = _const_val(a)
-    if c is not None:
-        p = exact_product(c, c)
-        if p is not None:
-            return Const(p)
-    return Square(a)
-
-
 def power(a: Expr, k: int) -> Expr:
     if k == 0:
         return Const(1.0)
     if k == 1:
         return a
-    if k == 2:
-        return square(a)
+    c = _const_val(a)
+    if k == 2 and c is not None:
+        p = exact_product(c, c)
+        if p is not None:
+            return Const(p)
     return Pow(a, k)
 
 
@@ -427,7 +392,7 @@ def _prec(e: Expr) -> int:
         return _PREC["mul"]
     if isinstance(e, Neg):
         return _PREC["neg"]
-    if isinstance(e, (Square, Pow)):
+    if isinstance(e, Pow):
         return _PREC["pow"]
     if isinstance(e, Const) and e.value < 0:
         return _PREC["neg"]
@@ -451,8 +416,6 @@ def to_source(e: Expr, names: Sequence[str]) -> str:
         return "-" + _wrap(to_source(e.arg, names), _prec(e.arg) < _PREC["neg"])
     if isinstance(e, Sqrt):
         return f"sqrt({to_source(e.arg, names)})"
-    if isinstance(e, Square):
-        return _wrap(to_source(e.arg, names), _prec(e.arg) < _PREC["atom"]) + "^2"
     if isinstance(e, Pow):
         base = _wrap(to_source(e.base, names), _prec(e.base) < _PREC["atom"])
         if e.exponent < 0:

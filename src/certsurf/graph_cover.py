@@ -27,7 +27,14 @@ from .errors import ATTEMPT_ERRORS, CertificationError, LinearAlgebraError, Refi
 from .intervals import Interval, IntervalBox
 from .krawczyk import KrawczykResult, krawczyk_test, refine_fiber_root
 
-__all__ = ["GraphCell", "GraphCover", "cover_graph", "isolate_fiber_roots", "sheet_measures"]
+__all__ = [
+    "GraphCell",
+    "GraphCover",
+    "cover_graph",
+    "fiber_newton",
+    "isolate_fiber_roots",
+    "sheet_measures",
+]
 
 _ISOLATE_MAX_DEPTH = 60
 _SLICE_NEWTON_MAX_ITER = 25
@@ -147,10 +154,10 @@ def isolate_fiber_roots(
     return found
 
 
-def _float_newton_slice(
+def fiber_newton(
     system, base_point: Sequence[float], y0: Sequence[float]
 ) -> list[float] | None:
-    """Plain float Newton on the fiber slice; None when it goes nowhere."""
+    """Plain float Newton on the fiber slice from y0; None when it goes nowhere."""
     d = system.d
     y = np.asarray(y0, dtype=float)
     base = list(base_point)
@@ -229,7 +236,7 @@ def cover_graph(
             raise CertificationError(f"graph cover exceeded {max_cells} cells")
         center = [Interval(lo, hi).midpoint() for lo, hi in bounds]
 
-        y = _float_newton_slice(system, center, seed)
+        y = fiber_newton(system, center, seed)
         if y is None or not all(
             br.lo <= v <= br.hi for v, br in zip(y, fiber_bracket.parts)
         ):

@@ -5,9 +5,11 @@ its operands (enclosure soundness). CPython has no access to the FPU
 rounding mode, so directed rounding is emulated: each endpoint op is
 computed in round-to-nearest and then nudged one ulp outward with
 ``math.nextafter`` unless the result is provably exact. Exactness is
-detected cheaply (error-free transformations for sums, power-of-two
-factors for products and quotients), which keeps common cases like
-``[1,2] + [3,4]`` or ``0.5 * [1.9, 2.1]`` tight to the last bit.
+detected cheaply (an error-free transformation for sums, a power-of-two
+factor or a small integer product for products, a power-of-two divisor
+for quotients), which keeps common cases like ``[1,2] + [3,4]`` or
+``0.5 * [1.9, 2.1]`` tight to the last bit. ``mul_up`` and ``mul_down``
+hold the one exactness table for products; ``exact_product`` asks them.
 
 Every ``Interval`` is nonempty: its endpoints are extended reals (-inf
 and +inf mark unbounded sides), never NaN, with ``lo <= hi``. The
@@ -110,38 +112,6 @@ def sub_down(a: float, b: float) -> float:
     return add_down(a, -b)
 
 
-def _is_pow2(x: float) -> bool:
-    m = math.frexp(x)[0]
-    return m == 0.5 or m == -0.5
-
-
-def _mul_is_exact(a: float, b: float, p: float) -> bool:
-    if a == 0.0 or b == 0.0:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return True  # true extended-real product (nan was filtered by callers)
-    if math.isinf(p) or abs(p) < _DBL_MIN:
-        return False  # overflow or (sub)normal underflow can hide dropped bits
-    if _is_pow2(a) or _is_pow2(b):
-        return True
-    if abs(p) < 9.007199254740992e15 and a.is_integer() and b.is_integer():
-        return int(a) * int(b) == int(p)
-    return False
-
-
-def exact_product(a: float, b: float) -> float | None:
-    """a * b when the float product is finite and exact, else None."""
-    p = a * b
-    if p != p or math.isinf(p):
-        return None
-    return p if _mul_is_exact(a, b, p) else None
-
-
-# mul_up/mul_down lay out the ordinary finite-product case first; the
-# decision table is identical to _mul_is_exact, which stays as the oracle
-# the property tests compare against.
-
-
 def mul_up(a: float, b: float) -> float:
     p = a * b
     if _DBL_MIN <= abs(p) < _INF:
@@ -194,6 +164,14 @@ def mul_down(a: float, b: float) -> float:
     return max(down, 0.0) if (a < 0.0) == (b < 0.0) else down
 
 
+def exact_product(a: float, b: float) -> float | None:
+    """a * b when the float product is finite and exact, else None."""
+    p = a * b
+    if math.isfinite(p) and mul_down(a, b) == p == mul_up(a, b):
+        return p
+    return None
+
+
 def _div_is_exact(a: float, b: float, q: float) -> bool:
     if a == 0.0:
         return True
@@ -201,7 +179,8 @@ def _div_is_exact(a: float, b: float, q: float) -> bool:
         return True
     if math.isinf(q) or abs(q) < _DBL_MIN:
         return False
-    return _is_pow2(b)
+    m = math.frexp(b)[0]
+    return m == 0.5 or m == -0.5
 
 
 def div_up(a: float, b: float) -> float:

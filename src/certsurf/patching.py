@@ -2,17 +2,18 @@
 
 A patch is a tangent-aligned box certificate: over the base square of
 half-width r, the system has exactly one fiber solution per base point
-within r (uniqueness) and that solution stays within rho * r of the
-center plane (enclosure).  ``inclusion_test`` proves two overlapping
-patches describe the same sheet by walking a certified point of one into
-the other's slab; ``component_test`` settles overlap questions in both
-directions, refining the slabs until the pieces either provably meet or
-provably miss each other.
+within r (uniqueness, the patch's ``cube``) and that solution stays within
+rho * r of the center plane (enclosure, the patch's ``slab``).  Both boxes
+are built once, when the patch is.  ``inclusion_test`` proves two
+overlapping patches describe the same sheet by walking a certified point
+of one into the other's slab; ``component_test`` settles a touching pair
+that no such probe welded, refining the slabs until the pieces either
+provably meet or provably miss each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +39,13 @@ _POLISH_MAX_ITER = 50
 
 @dataclass(frozen=True, eq=False, slots=True)
 class CertifiedPatch:
-    """Tangent-aligned certified box around one surface point."""
+    """Tangent-aligned certified box around one surface point.
+
+    ``slab`` and ``cube`` are built once, with the patch: the slab is the
+    base square times [-r_fiber, r_fiber]^m and provably holds the sheet
+    over the base square; the cube has radius r on every axis, and in it
+    the sheet is the only solution per base point.
+    """
 
     frame: CoordinateFrame
     aligned: object  # the system rewritten in frame coordinates
@@ -46,6 +53,13 @@ class CertifiedPatch:
     r_fiber: float  # upper bound on rho * r
     rho: float
     cert: KrawczykResult
+    slab: OrientedBox = field(init=False, repr=False)
+    cube: OrientedBox = field(init=False, repr=False)
+
+    def __post_init__(self):
+        base = (self.r,) * self.d
+        object.__setattr__(self, "slab", self.frame.box(base + (self.r_fiber,) * self.m))
+        object.__setattr__(self, "cube", self.frame.box(base + (self.r,) * self.m))
 
     @property
     def n(self) -> int:
@@ -58,18 +72,6 @@ class CertifiedPatch:
     @property
     def m(self) -> int:
         return self.n - self.d
-
-    @property
-    def slab_radii(self) -> tuple:
-        return (self.r,) * self.d + (self.r_fiber,) * self.m
-
-    def enclosure_box(self) -> OrientedBox:
-        """Thin slab provably containing the sheet over the base square."""
-        return self.frame.box(self.slab_radii)
-
-    def uniqueness_box(self) -> OrientedBox:
-        """Full box in which the sheet is the only solution per base point."""
-        return self.frame.box((self.r,) * (self.d + self.m))
 
     def sheet_point(self, base_point, bracket: float, accuracy: float) -> IntervalBox:
         """World box enclosing the sheet point above a frame base point.
@@ -87,7 +89,7 @@ class CertifiedPatch:
 
     def slab_holds(self, world_box: IntervalBox) -> bool:
         """True only if the world box provably lies inside the slab."""
-        return within(self.frame.world_to_local_box(world_box).ends(), self.slab_radii)
+        return within(self.frame.world_to_local_box(world_box).ends(), self.slab.radii)
 
 
 def newton_polish(system, start) -> list[float]:
@@ -160,7 +162,7 @@ def certify_box(system, start, r_initial: float, rho: float) -> CertifiedPatch:
 
 def _base_overlap_in(a: CertifiedPatch, b: CertifiedPatch) -> list[Interval] | None:
     """Overlap of b's slab with a's base square, in a's base coordinates."""
-    image = a.frame.world_to_local_box(b.enclosure_box().world_hull())
+    image = a.frame.world_to_local_box(b.slab.world_hull())
     out = []
     for k in range(a.d):
         piece = image.parts[k].intersect(Interval(-a.r, a.r))
@@ -215,19 +217,10 @@ class SlabPiece:
 
     box: OrientedBox
     rect: tuple
-    fiber_center: tuple
 
     @property
     def half_width(self) -> float:
         return max((hi - lo) / 2.0 for lo, hi in self.rect)
-
-
-def _whole_slab_piece(patch: CertifiedPatch) -> SlabPiece:
-    return SlabPiece(
-        box=patch.enclosure_box(),
-        rect=((-patch.r, patch.r),) * patch.d,
-        fiber_center=(0.0,) * patch.m,
-    )
 
 
 def _split_piece(patch: CertifiedPatch, piece: SlabPiece) -> list[SlabPiece] | None:
@@ -256,11 +249,7 @@ def _split_piece(patch: CertifiedPatch, piece: SlabPiece) -> list[SlabPiece] | N
         local_center = list(cell.center) + list(cell.fiber_center)
         radii = list(cell.half_widths) + [cell.fiber_enclosure] * patch.m
         out.append(
-            SlabPiece(
-                box=patch.frame.box_at(local_center, radii),
-                rect=cell.bounds,
-                fiber_center=cell.fiber_center,
-            )
+            SlabPiece(box=patch.frame.box_at(local_center, radii), rect=cell.bounds)
         )
     return out
 
@@ -287,6 +276,10 @@ def component_test(
 ) -> tuple[bool, list[OrientedBox], list[OrientedBox]]:
     """Decide whether two patches carry the same sheet where they overlap.
 
+    The pair is one whose slabs touch and that ``inclusion_test`` did not
+    weld either way; the caller has run both checks, so neither is
+    repeated here.
+
     Returns (verdict, refinement_a, refinement_b).  True: a certified
     point witnesses the sheets coinciding.  False: the two sheet pieces
     are provably disjoint, and each refinement list is a certified cover
@@ -299,14 +292,9 @@ def component_test(
     of the other patch), so the covers carry mixed resolutions and the
     work stays proportional to the contested area.
     """
-    pieces_a = [_whole_slab_piece(a)]
-    pieces_b = [_whole_slab_piece(b)]
+    pieces_a = [SlabPiece(a.slab, ((-a.r, a.r),) * a.d)]
+    pieces_b = [SlabPiece(b.slab, ((-b.r, b.r),) * b.d)]
     boxes = lambda pieces: [p.box for p in pieces]  # noqa: E731
-
-    if obox_disjoint(pieces_a[0].box, pieces_b[0].box):
-        return False, boxes(pieces_a), boxes(pieces_b)
-    if inclusion_test(a, b) or inclusion_test(b, a):
-        return True, boxes(pieces_a), boxes(pieces_b)
 
     stop = f"the {_MAX_ROUNDS}-round limit"
     for round_no in range(1, _MAX_ROUNDS + 1):

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import ATTEMPT_ERRORS, CertificationError
 from .frames import OrientedBox, frame_map, obox_disjoint
+from .graph_cover import fiber_newton
 from .intervals import Interval, IntervalBox, array_matvec, array_mul
 from .patching import CertifiedPatch, certify_box, component_test, inclusion_test
 from .system import AnalyticSystem
@@ -202,24 +203,19 @@ class SurfaceRun:
     coverage: list[EdgeCoverage | None] = field(default_factory=list)
     truncated: bool = False
     natural: bool = False
-    _cubes: list[OrientedBox | None] = field(default_factory=list, repr=False)
-    _slabs: list[OrientedBox | None] = field(default_factory=list, repr=False)
     _parent: list[int] = field(default_factory=list, repr=False)
     _neighbors: list[set | None] = field(default_factory=list, repr=False)
 
     def add(self, patch: CertifiedPatch) -> int:
         """Store a patch and settle its ledger and its neighbours' both ways."""
         pid = len(self.patches)
-        cube = patch.uniqueness_box()
         links = {
             other
-            for other in self.live_ids()
-            if not obox_disjoint(cube, self.cube(other))
+            for other, stored in self.live_patches()
+            if not obox_disjoint(patch.cube, stored.cube)
         }
         self.patches.append(patch)
         self.coverage.append(EdgeCoverage(patch.r))
-        self._cubes.append(cube)
-        self._slabs.append(patch.enclosure_box())
         self._parent.append(pid)
         self._neighbors.append(links)
         for other in sorted(links):
@@ -235,8 +231,6 @@ class SurfaceRun:
         links = self._neighbors[pid]
         self.patches[pid] = None
         self.coverage[pid] = None
-        self._cubes[pid] = None
-        self._slabs[pid] = None
         self._neighbors[pid] = None
         for other in sorted(links or ()):
             other_links = self._neighbors[other]
@@ -253,24 +247,11 @@ class SurfaceRun:
         assert links is not None
         return sorted(links)
 
-    def live_ids(self) -> list[int]:
-        return [i for i, p in enumerate(self.patches) if p is not None]
-
     def live_patches(self) -> list[tuple[int, CertifiedPatch]]:
         return [(i, p) for i, p in enumerate(self.patches) if p is not None]
 
     def live_count(self) -> int:
         return sum(1 for p in self.patches if p is not None)
-
-    def cube(self, pid: int) -> OrientedBox:
-        box = self._cubes[pid]
-        assert box is not None
-        return box
-
-    def slab(self, pid: int) -> OrientedBox:
-        box = self._slabs[pid]
-        assert box is not None
-        return box
 
     def find(self, pid: int) -> int:
         """Root of the patch's proven same-sheet component."""
@@ -288,35 +269,19 @@ class SurfaceRun:
 def _edge_exit_point(patch: CertifiedPatch, axis: int, side: int, t: float) -> np.ndarray | None:
     """World point where the sheet crosses the edge at running coordinate t.
 
-    Plain float Newton on the fiber coordinates; whatever the caller builds
-    from the point is certified afresh, so this is seed quality only.
+    A float fiber Newton from the base plane, seed quality only; None when
+    it fails or lands more than 4r off the plane.
     """
     base = [0.0, 0.0]
     base[axis] = side * patch.r
     base[1 - axis] = t
-    g = patch.aligned
-    d = patch.d
-    y = np.zeros(patch.m)
-    tol = 1e-12 * max(1.0, patch.r)
-    for _ in range(30):
-        pt = base + [float(v) for v in y]
-        vals = np.asarray(g.eval_point(pt), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            return None
-        if float(np.max(np.abs(vals))) <= tol:
-            return patch.frame.to_world(pt)
-        jac = np.asarray(g.jacobian_point(pt), dtype=float)[:, d:]
-        try:
-            step = np.linalg.solve(jac, vals)
-        except np.linalg.LinAlgError:
-            return None
-        y = y - step
-        if not np.all(np.isfinite(y)) or float(np.max(np.abs(y))) > 4.0 * patch.r:
-            return None
-    return None
+    y = fiber_newton(patch.aligned, base, [0.0] * patch.m)
+    if y is None or max(abs(v) for v in y) > 4.0 * patch.r:
+        return None
+    return patch.frame.to_world(base + y)
 
 
-def _edge_slabs(patch: CertifiedPatch, pieces) -> tuple[np.ndarray, np.ndarray]:
+def _edge_slab_ends(patch: CertifiedPatch, pieces) -> tuple[np.ndarray, np.ndarray]:
     """Frame-local slabs over edge pieces, each with a leading 1, as an endpoint pair.
 
     Row p is (1, pinned edge, piece, fiber radius) for piece p: the argument
@@ -357,7 +322,7 @@ def coverage_update(run: SurfaceRun, target_id: int, container_id: int) -> float
     r = container.r
 
     def decide(pieces):
-        lo, hi = array_matvec(chart, _edge_slabs(target, pieces))
+        lo, hi = array_matvec(chart, _edge_slab_ends(target, pieces))
         covered = np.all((-r < lo) & (hi < r), axis=1)
         reaches = np.all((-r <= hi) & (lo <= r), axis=1)
         return [
@@ -388,7 +353,7 @@ def _clip_outside_domain(run: SurfaceRun, pid: int) -> None:
     dom_lo, dom_hi = domain.ends()
 
     def decide(pieces):
-        lo, hi = array_matvec((chart, chart), _edge_slabs(patch, pieces))
+        lo, hi = array_matvec((chart, chart), _edge_slab_ends(patch, pieces))
         clipped = np.any((hi < dom_lo) | (dom_hi < lo), axis=1)
         meets = np.all((lo <= dom_hi) & (dom_lo <= hi), axis=1)
         inside = np.all((dom_lo <= lo) & (hi <= dom_hi), axis=1)
@@ -410,10 +375,10 @@ def _reconcile(
     chains through the component structure, so one weld per component
     suffices.  Each component is first probed with the cheap
     ``inclusion_test`` both ways against every member, nearest first, and
-    welds on the first success: that is the same condition on which
-    ``component_test`` answers True, so the proof is unchanged.  Only a
-    component with no such member goes through ``component_test``'s slab
-    refinement, member by member until one welds.
+    welds on the first success.  Only a component with no such member goes
+    through ``component_test``'s slab refinement, member by member until
+    one welds; each of those pairs touches and failed both probes, which
+    is what ``component_test`` assumes.
 
     Returns (welded, conflicts): one welded member per decided component,
     and (member, refinement of its boxes) per member proven to carry
@@ -421,32 +386,28 @@ def _reconcile(
     candidate may enter only without conflicts.  An undecided pair raises
     ``component_test``'s ``CertificationError``.
     """
-    cand_slab = candidate.enclosure_box()
     cand_center = np.asarray(candidate.frame.center)
-    groups: dict[int, list[int]] = {}
-    for other in run.live_ids():
-        if not obox_disjoint(cand_slab, run.slab(other)):
-            groups.setdefault(run.find(other), []).append(other)
+    groups: dict[int, list[tuple[int, CertifiedPatch]]] = {}
+    for other, stored in run.live_patches():
+        if not obox_disjoint(candidate.slab, stored.slab):
+            groups.setdefault(run.find(other), []).append((other, stored))
     welded: list[int] = []
     conflicts: list[tuple[int, list[OrientedBox]]] = []
     for members in groups.values():
-        stored = {q: run.patches[q] for q in members}
-        members.sort(
-            key=lambda q: float(np.linalg.norm(np.asarray(stored[q].frame.center) - cand_center))
-        )
+        members.sort(key=lambda m: np.linalg.norm(np.subtract(m[1].frame.center, cand_center)))
         probed = next(
             (
                 q
-                for q in members
-                if inclusion_test(stored[q], candidate) or inclusion_test(candidate, stored[q])
+                for q, stored in members
+                if inclusion_test(stored, candidate) or inclusion_test(candidate, stored)
             ),
             None,
         )
         if probed is not None:
             welded.append(probed)
             continue
-        for q in members:
-            same, ref_stored, _ = component_test(stored[q], candidate)
+        for q, stored in members:
+            same, ref_stored, _ = component_test(stored, candidate)
             if same:
                 welded.append(q)
                 break

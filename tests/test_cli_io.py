@@ -1,6 +1,7 @@
 """Config parsing, JSONL round trips, re-verification, OBJ geometry, CLI exits."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -510,6 +511,25 @@ def test_cli_config_number_beyond_float_range_exits_3(key, tmp_path, capsys):
     cfg.write_text(SPHERE_CFG + f"{key} = -1e400\n")
     assert cli_main(["approximate", str(cfg)]) == 3
     assert "float range" in capsys.readouterr().err
+
+
+def test_cli_huge_decimal_exponent_exits_3_at_once(capsys):
+    # the exact value of this literal would take minutes to build
+    argv = ["approximate", "--variables", "x y z", "--equation", "x^2 + y^2 + z^2 - 1"]
+    t0 = time.perf_counter()
+    assert cli_main(argv + ["--start", "0 0 1", "--r", "1e100000000"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "float range" in capsys.readouterr().err
+
+
+def test_cli_config_tiny_decimal_exponent_exits_3_at_once(tmp_path, capsys):
+    # far below the float range the literal reads as 0, which validation refuses
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(SPHERE_CFG + "rho = 1e-100000000\n")
+    t0 = time.perf_counter()
+    assert cli_main(["approximate", str(cfg)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "rho must lie strictly between 0 and 1" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exits_3(capsys):

@@ -19,7 +19,6 @@ from certsurf.expr import (
     Neg,
     Pow,
     Sqrt,
-    Square,
     Sub,
     Var,
     add,
@@ -27,7 +26,6 @@ from certsurf.expr import (
     mul,
     neg,
     power,
-    square,
     sub,
     to_source,
 )
@@ -44,7 +42,7 @@ SADDLE = "-0.125*x*y^2 + 0.25*x^2 - z"
 def test_sphere_tree_structure():
     e = parse_expression(SPHERE, XYZ)
     expected = Sub(
-        Add(Add(Square(Var(0)), Square(Var(1))), Square(Var(2))),
+        Add(Add(Pow(Var(0), 2), Pow(Var(1), 2)), Pow(Var(2), 2)),
         Const(1.0),
     )
     assert e == expected
@@ -54,8 +52,8 @@ def test_torus_tree_structure():
     e = parse_expression(TORUS, XYZ)
     expected = Sub(
         Add(
-            Square(Sub(Sqrt(Add(Square(Var(0)), Square(Var(1)))), Const(2.0))),
-            Square(Var(2)),
+            Pow(Sub(Sqrt(Add(Pow(Var(0), 2), Pow(Var(1), 2))), Const(2.0)), 2),
+            Pow(Var(2), 2),
         ),
         Const(0.64),
     )
@@ -79,6 +77,8 @@ def test_equals_zero_suffix():
 def test_pow_rules():
     assert parse_expression("x^1", XYZ) == Var(0)
     assert parse_expression("x^0", XYZ) == Const(1.0)
+    assert parse_expression("x^2", XYZ) == Pow(Var(0), 2)
+    assert parse_expression("3^2", XYZ) == Const(9.0)
     assert parse_expression("x^3", XYZ) == Pow(Var(0), 3)
     assert parse_expression("x^(-2)", XYZ) == Pow(Var(0), -2)
     for bad in ("x^0.5", "x^y", "x^(1/2)", "x^2^3", "x^-2"):
@@ -162,8 +162,6 @@ def _mp_eval(e, coords):
         return -_mp_eval(e.arg, coords)
     if isinstance(e, Sqrt):
         return mpmath.sqrt(_mp_eval(e.arg, coords))
-    if isinstance(e, Square):
-        return _mp_eval(e.arg, coords) ** 2
     if isinstance(e, Pow):
         return _mp_eval(e.base, coords) ** e.exponent
     if isinstance(e, Add):
@@ -217,7 +215,7 @@ def expr_trees(draw, depth=0):
     if leaf == "sqrt":
         return Sqrt(draw(expr_trees(depth=depth + 1)))
     if leaf == "square":
-        return square(draw(expr_trees(depth=depth + 1)))
+        return power(draw(expr_trees(depth=depth + 1)), 2)
     if leaf == "pow":
         return power(draw(expr_trees(depth=depth + 1)), draw(st.sampled_from([3, 4, 5, -2])))
     a = draw(expr_trees(depth=depth + 1))

@@ -21,6 +21,7 @@ from certsurf.intervals import (
     array_dot,
     array_matvec,
     array_mul,
+    exact_product,
     mul_down,
     mul_up,
 )
@@ -429,6 +430,33 @@ def test_directed_mul_brackets(a, b):
     lo = mul_down(a, b)
     hi = mul_up(a, b)
     assert Fraction(lo) <= Fraction(a) * Fraction(b) <= Fraction(hi)
+
+
+product_factors = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**30), 2**30).map(float),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.integers(-1074, 1023)).map(
+        lambda t: t[0] * 2.0 ** t[1]
+    ),
+)
+
+
+@given(product_factors, product_factors)
+@example(3.0, 1.5)  # 4.5 is a float, but no table case proves it: None
+@example(2.0**-600, 2.0**-600)  # underflows: None
+@example(-(2.0**600), 2.0**600)  # overflows: None
+def test_exact_product_is_the_exact_value(a, b):
+    p = exact_product(a, b)
+    exact = Fraction(a) * Fraction(b)
+    if p is not None:
+        assert math.isfinite(p) and Fraction(p) == exact
+    # the table's cases must be found: a zero factor, a power-of-two factor
+    # with a normal product, or two integers with a product below 2^53
+    normal = 2.0**-1022 <= abs(exact) <= Fraction(math.nextafter(math.inf, 0.0))
+    power_of_two = any(math.frexp(x)[0] in (0.5, -0.5) for x in (a, b))
+    integers = a.is_integer() and b.is_integer() and abs(exact) < 2**53
+    if exact == 0 or (power_of_two and normal) or integers:
+        assert p is not None
 
 
 @given(intervals())

@@ -93,8 +93,8 @@ def test_certify_box_singular_point_raises():
 
 def test_enclosure_and_uniqueness_geometry(sphere):
     patch = certify_box(sphere, [0.0, 0.0, 1.05], 0.1, 0.125)
-    enc = patch.enclosure_box()
-    unq = patch.uniqueness_box()
+    enc = patch.slab
+    unq = patch.cube
     assert enc.radii == (patch.r, patch.r, patch.r_fiber)
     assert unq.radii == (patch.r, patch.r, patch.r)
     assert patch.slab_holds(IntervalBox.point(patch.frame.center))
@@ -132,7 +132,7 @@ def test_component_flat_sheets_separate_at_once(flat_pair):
     p = certify_box(flat_pair, [0.0, 0.0, 0.1], 1.0, 0.125)
     q = certify_box(flat_pair, [0.0, 0.0, -0.1], 1.0, 0.125)
     # slabs of thickness rho * r around z = +-0.1 never meet
-    assert obox_disjoint(p.enclosure_box(), q.enclosure_box())
+    assert obox_disjoint(p.slab, q.slab)
     verdict, ref_p, ref_q = component_test(p, q)
     assert verdict is False
     assert ref_p and ref_q
@@ -146,7 +146,7 @@ def test_component_fold_shared_arc(fold):
     # genuinely carry the same connected piece
     a = certify_box(fold, [0.0016, 0.0, 0.04], 0.05, 0.125)
     b = certify_box(fold, [0.0016, 0.0, -0.04], 0.05, 0.125)
-    assert not obox_disjoint(a.enclosure_box(), b.enclosure_box())
+    assert not obox_disjoint(a.slab, b.slab)
     verdict, _, _ = component_test(a, b)
     assert verdict is True
 
@@ -156,7 +156,7 @@ def test_component_fold_engaged_refinement(fold):
     # fold on either side; only slab refinement can separate them
     a = certify_box(fold, [0.0025, 0.0, 0.05], 0.1, 0.125)
     b = certify_box(fold, [0.0025, 0.0, -0.05], 0.1, 0.125)
-    assert not obox_disjoint(a.enclosure_box(), b.enclosure_box())
+    assert not obox_disjoint(a.slab, b.slab)
     assert not inclusion_test(a, b)
     assert not inclusion_test(b, a)
     verdict, ref_a, ref_b = component_test(a, b)

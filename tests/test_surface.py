@@ -349,7 +349,7 @@ def test_saddle_clip_cover_rechecks_by_oriented_box_containment():
                 radii = [0.0, 0.0, patch.r_fiber]
                 radii[1 - axis] = 0.5 * (hi - lo) * patch.r
                 assert run.patches[state] is not None
-                assert obox_contains(run.cube(state), patch.frame.box_at(center, radii))
+                assert obox_contains(run.patches[state].cube, patch.frame.box_at(center, radii))
                 checked += 1
     assert checked > 0
     assert _foreign_touching_pairs(run) == []
@@ -374,12 +374,12 @@ def test_domain_must_match_ambient_dimension():
 
 def _foreign_touching_pairs(run):
     """Live pairs in different components whose slabs touch."""
-    live = run.live_ids()
+    live = run.live_patches()
     return [
         (a, b)
-        for k, a in enumerate(live)
-        for b in live[k + 1 :]
-        if run.find(a) != run.find(b) and not obox_disjoint(run.slab(a), run.slab(b))
+        for k, (a, pa) in enumerate(live)
+        for b, pb in live[k + 1 :]
+        if run.find(a) != run.find(b) and not obox_disjoint(pa.slab, pb.slab)
     ]
 
 
@@ -389,7 +389,7 @@ def test_reconcile_replaces_entangled_sheets():
     up = certify_box(FOLD, (0.0025, 0.0, 0.05), 0.1, 0.125)
     down = certify_box(FOLD, (0.0025, 0.0, -0.05), 0.1, 0.125)
     run.add(up)
-    assert not obox_disjoint(run.slab(0), down.enclosure_box())
+    assert not obox_disjoint(run.patches[0].slab, down.slab)
     welded, conflicts = _reconcile(run, down)
     assert welded == [] and [pid for pid, _ in conflicts] == [0]
     refinement = conflicts[0][1]
@@ -398,5 +398,5 @@ def test_reconcile_replaces_entangled_sheets():
     assert run.patches[0] is None
     # each piece entered welded; the pieces that met another sheet stayed out
     assert 1 < run.live_count() < len(refinement)
-    assert sorted(queue) == run.live_ids()
+    assert sorted(queue) == [pid for pid, _ in run.live_patches()]
     assert _foreign_touching_pairs(run) == []
