@@ -164,7 +164,10 @@ def _cmd_graph(args) -> int:
     except ATTEMPT_ERRORS as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERT
-    print(f"{len(cover.cells)} certified cells over {cover.sheets} sheet(s)")
+    print(
+        f"{len(cover.cells)} certified cells over {cover.sheets} sheet(s)"
+        f" from {cover.tests} cell tests"
+    )
     if cfg.out_json:
         write_graph_jsonl(system, cover, cfg.out_json)
         print(f"wrote {cfg.out_json}")

@@ -5,7 +5,14 @@ scratch.  Variables and equation sources travel in the header line; each
 patch or cell line holds its frame or bounds, radii, and the certificate
 numbers that were claimed at build time.  Verification rebuilds the
 system from the header, repeats the test, and accepts a record only when
-the fresh test passes and still supports every stored claim.
+the fresh test passes and still supports every stored claim.  Patches are
+re-tested one by one with ``krawczyk_test``; the cells of a graph file are
+re-tested in one ``krawczyk_cells`` batch, the test that built them.
+
+Format 2 is the first whose graph cells were built by ``krawczyk_cells``.
+Its last-bit ``norm_k`` sits above the scalar kernel's, so a format-1 graph
+file would fail its enclosure claims; ``verify`` refuses it with one line
+that names the version.  Patch records are the same in both formats.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .errors import ATTEMPT_ERRORS
 from .expr import to_source
 from .graph_cover import sheet_measures
 from .intervals import Interval, IntervalBox
-from .krawczyk import krawczyk_test
+from .krawczyk import krawczyk_cells, krawczyk_test
 from .system import AnalyticSystem
 
 __all__ = [
@@ -32,7 +39,7 @@ __all__ = [
     "write_surface_obj",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # halving a float range more often than this leaves no float between its ends
 _MAX_DEPTH = 2100
@@ -56,6 +63,14 @@ def _cert_fields(cert) -> dict:
     }
 
 
+def _write_jsonl(path, header: dict, records) -> None:
+    """Write the header and then each record as one JSON line, a line at a time."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, allow_nan=False) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
+
+
 def write_surface_jsonl(run, path) -> int:
     """Write one header line plus one line per live patch; returns the count."""
     patches = run.live_patches()
@@ -75,9 +90,8 @@ def write_surface_jsonl(run, path) -> int:
         if run.domain is None
         else [[p.lo, p.hi] for p in run.domain.parts],
     }
-    lines = [json.dumps(header, allow_nan=False)]
-    for pid, patch in patches:
-        rec = {
+    records = (
+        {
             "record": "patch",
             "id": pid,
             "center": [float(c) for c in patch.frame.center],
@@ -90,9 +104,9 @@ def write_surface_jsonl(run, path) -> int:
             "truncated": run.truncated,
             "certificate": _cert_fields(patch.cert),
         }
-        lines.append(json.dumps(rec, allow_nan=False))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for pid, patch in patches
+    )
+    _write_jsonl(path, header, records)
     return len(patches)
 
 
@@ -110,9 +124,8 @@ def write_graph_jsonl(system, cover, path) -> int:
         "sheets": cover.sheets,
         "base_bounds": [[lo, hi] for lo, hi in cover.base_bounds],
     }
-    lines = [json.dumps(header, allow_nan=False)]
-    for k, cell in enumerate(cover.cells):
-        rec = {
+    records = (
+        {
             "record": "cell",
             "id": k,
             "bounds": [[lo, hi] for lo, hi in cell.bounds],
@@ -123,9 +136,9 @@ def write_graph_jsonl(system, cover, path) -> int:
             "fiber_enclosure": cell.fiber_enclosure,
             "certificate": _cert_fields(cell.cert),
         }
-        lines.append(json.dumps(rec, allow_nan=False))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for k, cell in enumerate(cover.cells)
+    )
+    _write_jsonl(path, header, records)
     return len(cover.cells)
 
 
@@ -161,35 +174,31 @@ def _patch_test(system, rho: float, rec: dict):
     return krawczyk_test(gsys, base, [0.0] * system.m, r, rho), float(rec["r_fiber"])
 
 
-def _cell_test(system, rho: float, rec: dict):
-    """Re-run a cell record's test; returns (result, claimed fiber enclosure)."""
-    base = IntervalBox([Interval(lo, hi) for lo, hi in rec["bounds"]])
+def _cell_inputs(system, rec: dict) -> list[float]:
+    """A cell record's test inputs as one row: lo, hi, fiber center, fiber radius, claimed enclosure."""
+    bounds = [Interval(lo, hi) for lo, hi in rec["bounds"]]
     y = [float(c) for c in rec["fiber_center"]]
     r2 = float(rec["fiber_radius"])
-    return krawczyk_test(system, base, y, r2, rho), float(rec["fiber_enclosure"])
+    if len(bounds) != system.d or len(y) != system.m:
+        raise ValueError("base/fiber split does not match the system")
+    if not r2 > 0.0:
+        raise ValueError(f"fiber radius must be positive, got {r2}")
+    return [b.lo for b in bounds] + [b.hi for b in bounds] + y + [r2, float(rec["fiber_enclosure"])]
 
 
-def _verify_record(system, header: dict, rec: dict) -> list[str]:
-    problems: list[str] = []
-    kind = rec["record"]
-    label = f"{kind} {rec.get('id', '?')}"
-    try:
-        if not float(rec["certificate"]["margin"]) > 0.0:
-            problems.append(f"{label}: stored margin is not positive")
-        rho = float(header["rho"])
-        if kind == "patch" and float(rec["rho"]) != rho:
-            problems.append(f"{label}: rho {rec['rho']} differs from the header's {rho}")
-        res, claimed = (_patch_test if kind == "patch" else _cell_test)(system, rho, rec)
-    except _CHECK_ERRORS as exc:
-        problems.append(f"{label}: re-check could not run ({exc})")
-        return problems
-    if not res.passed:
-        problems.append(f"{label}: contraction test fails on re-run")
-    elif not claimed >= res.norm_k:
+def _label(rec: dict) -> str:
+    return f"{rec['record']} {rec.get('id', '?')}"
+
+
+def _judge(passed: bool, norm_k: float, claimed: float) -> str | None:
+    """Why a re-run test does not support a record's claim, or None when it does."""
+    if not passed:
+        return "contraction test fails on re-run"
+    if not claimed >= norm_k:
         # the stored slab half-width or cell enclosure must cover the proven
         # enclosure of the sheet around the center
-        problems.append(f"{label}: stored enclosure is below the proven bound")
-    return problems
+        return "stored enclosure is below the proven bound"
+    return None
 
 
 def _dyadic_index(lo: float, hi: float, clo: float, chi: float, depth: int) -> int | None:
@@ -292,9 +301,8 @@ def verify_jsonl(path) -> VerifyReport:
     afresh and have claimed no more than the fresh run proves.  A graph
     file must also tile its base rectangle once per claimed sheet.  Raises
     for files whose header cannot be read at all; record-level problems
-    land in the report.
+    land in the report, in record order.
     """
-    failures: list[str] = []
     header, records = read_jsonl(path)
     try:
         system = AnalyticSystem.from_equations(header["variables"], header["equations"])
@@ -304,15 +312,60 @@ def verify_jsonl(path) -> VerifyReport:
     expected = {"surface": "patch", "graph": "cell"}.get(mode)
     if expected is None:
         raise ValueError(f"{path}: unknown mode {mode!r}")
+    version = header.get("format_version")
+    if mode == "graph" and version != FORMAT_VERSION:
+        return VerifyReport(
+            ok=False,
+            checked=0,
+            failures=[
+                f"graph file format_version {version!r} is not {FORMAT_VERSION}:"
+                " its cells were certified by an older kernel; export the cover again"
+            ],
+        )
+    failures: list[str] = []
     if header.get("count") != len(records):
         failures.append(
             f"header claims {header.get('count')} records, file has {len(records)}"
         )
-    for rec in records:
+    d, m = system.d, system.m
+    problems: list[tuple[int, str]] = []  # (record index, failure line)
+    # cell records are tested in one batch after the loop: lane k is record lanes[k]
+    lanes: list[int] = []
+    rows = np.empty((len(records) if mode == "graph" else 0, 2 * d + m + 2))
+    rho = None
+    for i, rec in enumerate(records):
         if rec.get("record") != expected:
-            failures.append(f"unexpected record type {rec.get('record')!r}")
+            problems.append((i, f"unexpected record type {rec.get('record')!r}"))
             continue
-        failures.extend(_verify_record(system, header, rec))
+        label = _label(rec)
+        try:
+            if not float(rec["certificate"]["margin"]) > 0.0:
+                problems.append((i, f"{label}: stored margin is not positive"))
+            rho = float(header["rho"])
+            if expected == "cell":
+                rows[len(lanes)] = _cell_inputs(system, rec)
+                lanes.append(i)
+                continue
+            if float(rec["rho"]) != rho:
+                problems.append((i, f"{label}: rho {rec['rho']} differs from the header's {rho}"))
+            res, claimed = _patch_test(system, rho, rec)
+            outcome = _judge(res.passed, res.norm_k, claimed)
+        except _CHECK_ERRORS as exc:
+            outcome = f"re-check could not run ({exc})"
+        if outcome is not None:
+            problems.append((i, f"{label}: {outcome}"))
+    if lanes:
+        lo, hi, y, r2, claimed = np.split(rows[: len(lanes)], np.cumsum([d, d, m, 1]), axis=1)
+        try:
+            res = krawczyk_cells(system, (lo, hi), y, r2[:, 0], rho)
+            outcomes = map(_judge, res.passed.tolist(), res.norm_k.tolist(), claimed[:, 0].tolist())
+        except _CHECK_ERRORS as exc:
+            outcomes = [f"re-check could not run ({exc})"] * len(lanes)
+        for i, outcome in zip(lanes, outcomes):
+            if outcome is not None:
+                problems.append((i, f"{_label(records[i])}: {outcome}"))
+    # a stable sort keeps each record's lines in the order they were found
+    failures.extend(line for _, line in sorted(problems, key=lambda item: item[0]))
     if mode == "graph":
         cells = [rec for rec in records if rec.get("record") == "cell"]
         failures.extend(_verify_tiling(header, cells, system.d))

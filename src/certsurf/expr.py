@@ -4,10 +4,19 @@ Nodes: variable, numeric constant, unary negate/sqrt, binary
 add/sub/mul/div, and integer powers; a square is ``Pow(x, 2)``. Interval
 evaluation is the natural extension computed node by node with outward
 rounding; integer powers use the tight monomial rule (even powers never
-dip below zero). Point evaluation is plain float arithmetic for use
-inside approximate Newton steps. Derivatives are built symbolically once
-via smart constructors that fold exact-constant subtrees and drop 0/1
-identities.
+dip below zero). Each node evaluates three ways:
+
+* ``eval_point``: plain float arithmetic for approximate Newton steps and
+  preconditioners.  A coordinate is a float, or an ndarray holding one
+  value per lane of a batch; lanes never mix, and a domain error on any
+  lane raises.  On lanes an integer power is a fixed chain of products,
+  so a lane's value does not depend on its place in the batch.
+* ``eval_interval``: the scalar interval kernel on ``Interval`` objects.
+* ``eval_ends``: the endpoint-array kernel on (lo, hi) pairs, a batch of
+  boxes at once; a lane where an operation is undefined comes out NaN.
+
+Derivatives are built symbolically once via smart constructors that fold
+exact-constant subtrees and drop 0/1 identities.
 """
 
 from __future__ import annotations
@@ -15,8 +24,20 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .errors import IntervalDomainError
-from .intervals import Interval, exact_product
+from .intervals import (
+    Interval,
+    array_add,
+    array_div,
+    array_mul,
+    array_neg,
+    array_power,
+    array_sqrt,
+    array_sub,
+    exact_product,
+)
 
 
 class Expr:
@@ -26,6 +47,14 @@ class Expr:
         raise NotImplementedError
 
     def eval_interval(self, box: Sequence[Interval]) -> Interval:
+        raise NotImplementedError
+
+    def eval_ends(self, box):
+        """Endpoint pair of the natural extension over a batch of boxes.
+
+        ``box[i]`` is the (lo, hi) pair of variable i; the pair of a point
+        coordinate may hold one array twice.
+        """
         raise NotImplementedError
 
     def derivative(self, var: int) -> "Expr":
@@ -47,6 +76,9 @@ class Const(Expr):
 
     def eval_interval(self, box):
         return Interval.point(self.value)
+
+    def eval_ends(self, box):
+        return self.value, self.value
 
     def derivative(self, var):
         return Const(0.0)
@@ -80,6 +112,9 @@ class Var(Expr):
     def eval_interval(self, box):
         return box[self.index]
 
+    def eval_ends(self, box):
+        return box[self.index]
+
     def derivative(self, var):
         return Const(1.0 if var == self.index else 0.0)
 
@@ -108,6 +143,9 @@ class Neg(Expr):
     def eval_interval(self, box):
         return -self.arg.eval_interval(box)
 
+    def eval_ends(self, box):
+        return array_neg(self.arg.eval_ends(box))
+
     def derivative(self, var):
         return neg(self.arg.derivative(var))
 
@@ -132,12 +170,15 @@ class Sqrt(Expr):
 
     def eval_point(self, coords):
         v = self.arg.eval_point(coords)
-        if v < 0.0:
-            raise IntervalDomainError(f"sqrt of negative value {v}")
-        return math.sqrt(v)
+        if np.any(v < 0.0):
+            raise IntervalDomainError(f"sqrt of negative value {np.min(v)}")
+        return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
     def eval_interval(self, box):
         return self.arg.eval_interval(box).sqrt()
+
+    def eval_ends(self, box):
+        return array_sqrt(self.arg.eval_ends(box))
 
     def derivative(self, var):
         # d sqrt(u) = u' / (2 sqrt(u))
@@ -171,8 +212,10 @@ class Pow(Expr):
     def eval_point(self, coords):
         v = self.base.eval_point(coords)
         k = self.exponent
-        if v == 0.0 and k < 0:
+        if k < 0 and np.any(v == 0.0):
             raise IntervalDomainError("division by zero")
+        if isinstance(v, np.ndarray):
+            return _lane_power(v, k)
         try:
             return v ** k
         except OverflowError:
@@ -181,6 +224,9 @@ class Pow(Expr):
 
     def eval_interval(self, box):
         return self.base.eval_interval(box).power(self.exponent)
+
+    def eval_ends(self, box):
+        return array_power(self.base.eval_ends(box), self.exponent)
 
     def derivative(self, var):
         du = self.base.derivative(var)
@@ -230,6 +276,9 @@ class Add(_Binary):
     def eval_interval(self, box):
         return self.left.eval_interval(box) + self.right.eval_interval(box)
 
+    def eval_ends(self, box):
+        return array_add(self.left.eval_ends(box), self.right.eval_ends(box))
+
     def derivative(self, var):
         return add(self.left.derivative(var), self.right.derivative(var))
 
@@ -243,6 +292,9 @@ class Sub(_Binary):
 
     def eval_interval(self, box):
         return self.left.eval_interval(box) - self.right.eval_interval(box)
+
+    def eval_ends(self, box):
+        return array_sub(self.left.eval_ends(box), self.right.eval_ends(box))
 
     def derivative(self, var):
         return sub(self.left.derivative(var), self.right.derivative(var))
@@ -258,6 +310,9 @@ class Mul(_Binary):
     def eval_interval(self, box):
         return self.left.eval_interval(box) * self.right.eval_interval(box)
 
+    def eval_ends(self, box):
+        return array_mul(self.left.eval_ends(box), self.right.eval_ends(box))
+
     def derivative(self, var):
         dl = self.left.derivative(var)
         dr = self.right.derivative(var)
@@ -270,12 +325,15 @@ class Div(_Binary):
 
     def eval_point(self, coords):
         den = self.right.eval_point(coords)
-        if den == 0.0:
+        if np.any(den == 0.0):
             raise IntervalDomainError("division by zero")
         return self.left.eval_point(coords) / den
 
     def eval_interval(self, box):
         return self.left.eval_interval(box) / self.right.eval_interval(box)
+
+    def eval_ends(self, box):
+        return array_div(self.left.eval_ends(box), self.right.eval_ends(box))
 
     def derivative(self, var):
         # (u/v)' = (u'v - uv') / v^2
@@ -283,6 +341,21 @@ class Div(_Binary):
         dv = self.right.derivative(var)
         num = sub(mul(du, self.right), mul(self.left, dv))
         return div(num, power(self.right, 2))
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _lane_power(v: np.ndarray, k: int) -> np.ndarray:
+    """v**k on lanes by binary exponentiation; overflow gives a signed inf."""
+    acc = None
+    base = v
+    n = abs(k)
+    while True:
+        if n & 1:
+            acc = base if acc is None else acc * base
+        n >>= 1
+        if not n:
+            return acc if k > 0 else 1.0 / acc
+        base = base * base
 
 
 # ---------------------------------------------------------------------------

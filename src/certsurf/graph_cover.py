@@ -9,6 +9,11 @@ root estimate.  Fiber box radii follow the half-rate schedule: a cell at
 depth k uses fiber radius R * 2^{-ceil(k/2)}, which keeps the fiber box
 comfortably wider than the graph's variation across the cell.
 
+The cover runs level by level.  All untested cells of one depth, across
+every sheet, form the frontier: one lane-wise fiber Newton finds their
+root estimates and one ``krawczyk_cells`` call tests them; each failing
+cell hands its root estimate to its 2^d children at the next depth.
+
 Multiple sheets inside the user's fiber bracket are isolated by bisection
 at cell centers (interval exclusion or Krawczyk inclusion at every leaf)
 and then tracked by continuation.  Per-cell certificates are rigorous;
@@ -23,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ATTEMPT_ERRORS, CertificationError, LinearAlgebraError, RefinementStalledError
-from .intervals import Interval, IntervalBox
-from .krawczyk import KrawczykResult, krawczyk_test, refine_fiber_root
+from .errors import CertificationError, LinearAlgebraError, RefinementStalledError
+from .intervals import Interval, IntervalBox, array_midpoint
+from .krawczyk import KrawczykResult, krawczyk_cells, refine_fiber_root
 
 __all__ = [
     "GraphCell",
@@ -68,9 +73,6 @@ class GraphCell:
         c = self.center
         return tuple(max(hi - m, m - lo) for (lo, hi), m in zip(self.bounds, c))
 
-    def base_box(self) -> IntervalBox:
-        return IntervalBox([Interval(lo, hi) for lo, hi in self.bounds])
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class GraphCover:
@@ -78,6 +80,7 @@ class GraphCover:
     sheets: int
     base_bounds: tuple
     rho: float
+    tests: int  # cell tests made, passed or not
 
     def sheet_cells(self, k: int) -> list:
         return [c for c in self.cells if c.sheet == k]
@@ -154,30 +157,48 @@ def isolate_fiber_roots(
     return found
 
 
-def fiber_newton(
-    system, base_point: Sequence[float], y0: Sequence[float]
-) -> list[float] | None:
-    """Plain float Newton on the fiber slice from y0; None when it goes nowhere."""
+def fiber_newton(system, base_points, y0) -> np.ndarray:
+    """Plain float Newton on fiber slices, one lane per row of (N, d) base points.
+
+    Lane i starts from y0[i] and stops once its residual is at most
+    1e-13 * max(1, |y0[i]|).  Returns the (N, m) roots, with a NaN row
+    where a lane goes nowhere: a non-finite value, a singular Jacobian or
+    no convergence within _SLICE_NEWTON_MAX_ITER steps.
+    """
     d = system.d
-    y = np.asarray(y0, dtype=float)
-    base = list(base_point)
-    scale = max(1.0, float(np.max(np.abs(y))))
-    for _ in range(_SLICE_NEWTON_MAX_ITER):
-        pt = base + [float(v) for v in y]
-        g = system.eval_point(pt)
-        if not np.all(np.isfinite(g)):
-            return None
-        if float(np.max(np.abs(g))) <= 1e-13 * scale:
-            return [float(v) for v in y]
-        jac = system.jacobian_point(pt)[:, d:]
-        try:
-            step = np.linalg.solve(jac, g)
-        except np.linalg.LinAlgError:
-            return None
-        y = y - step
-        if not np.all(np.isfinite(y)):
-            return None
-    return None
+    base = np.asarray(base_points, dtype=float)
+    y = np.array(y0, dtype=float)
+    scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
+    out = np.full(y.shape, np.nan)
+    live = np.arange(len(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SLICE_NEWTON_MAX_ITER):
+            pts = np.concatenate([base[live], y[live]], axis=1)
+            g = system.eval_point(pts)
+            finite = np.all(np.isfinite(g), axis=1)
+            done = finite & (np.max(np.abs(g), axis=1) <= 1e-13 * scale[live])
+            out[live[done]] = y[live[done]]
+            going = finite & ~done
+            live, pts, g = live[going], pts[going], g[going]
+            if not len(live):
+                break
+            y[live] -= _solve_lanes(system.jacobian_point(pts)[..., d:], g)
+            live = live[np.all(np.isfinite(y[live]), axis=1)]
+    return out
+
+
+def _solve_lanes(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each lane's system; NaN for a singular lane."""
+    try:
+        return np.linalg.solve(mats, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i, (mat, b) in enumerate(zip(mats, rhs)):
+            try:
+                out[i] = np.linalg.solve(mat, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def cover_graph(
@@ -194,7 +215,8 @@ def cover_graph(
 
     ``max_cell_radius`` forces subdivision below the given half-width even
     where certification already succeeds; refinement passes use it to get
-    uniformly small cells.
+    uniformly small cells.  Raises once more than ``max_cells`` cells would
+    be tested, or when a cell at ``max_depth`` fails.
     """
     d, m = system.d, system.m
     base_bounds = tuple((float(lo), float(hi)) for lo, hi in base_bounds)
@@ -214,78 +236,75 @@ def cover_graph(
     sheets = isolate_fiber_roots(system, root_center, fiber_bracket)
     if not sheets:
         raise CertificationError("no fiber roots above the base center")
+    bracket_lo, bracket_hi = fiber_bracket.ends()
 
-    def fiber_radius_at(depth: int, y: Sequence[float]) -> float:
-        r2 = scale * 2.0 ** (-((depth + 1) // 2))
-        # keep the fiber box symmetric and inside the user bracket
-        for yc, br in zip(y, fiber_bracket.parts):
-            r2 = min(r2, yc - br.lo, br.hi - yc)
-        return r2
+    # the frontier: every untested cell of one depth, one row per cell
+    lo = np.array([[b[0] for b in base_bounds]] * len(sheets))
+    hi = np.array([[b[1] for b in base_bounds]] * len(sheets))
+    sheet = np.arange(len(sheets))
+    seed = np.array([y for y, _ in sheets])
 
     cells: list[GraphCell] = []
-    # queue entries: (bounds, depth, sheet index, fiber seed)
-    queue: list[tuple[tuple, int, int, list[float]]] = []
-    for k, (y, _encl) in enumerate(sheets):
-        queue.append((base_bounds, 0, k, list(y)))
-
-    processed = 0
-    while queue:
-        bounds, depth, sheet_idx, seed = queue.pop()
-        processed += 1
+    processed = tests = 0
+    depth = 0
+    while len(lo):
+        processed += len(lo)
         if processed > max_cells:
             raise CertificationError(f"graph cover exceeded {max_cells} cells")
-        center = [Interval(lo, hi).midpoint() for lo, hi in bounds]
-
+        center = array_midpoint(lo, hi)
         y = fiber_newton(system, center, seed)
-        if y is None or not all(
-            br.lo <= v <= br.hi for v, br in zip(y, fiber_bracket.parts)
-        ):
+        lost = ~np.all((bracket_lo <= y) & (y <= bracket_hi), axis=1)
+        for i in np.flatnonzero(lost):
             # continuation lost the sheet: re-isolate from scratch
-            local = isolate_fiber_roots(system, center, fiber_bracket)
+            local = isolate_fiber_roots(system, center[i].tolist(), fiber_bracket)
             if len(local) != len(sheets):
                 raise CertificationError(
                     f"root count changed across the domain: {len(sheets)} at the"
-                    f" center, {len(local)} at {tuple(center)}"
+                    f" center, {len(local)} at {tuple(center[i].tolist())}"
                 )
-            y = list(local[sheet_idx][0])
+            y[i] = local[sheet[i]][0]
 
-        certified = False
-        r2 = fiber_radius_at(depth, y)
-        if r2 > 0.0 and (max_cell_radius is None or _max_halfwidth(bounds, center) <= max_cell_radius):
-            try:
-                res = krawczyk_test(
-                    system,
-                    IntervalBox([Interval(lo, hi) for lo, hi in bounds]),
-                    y,
-                    r2,
-                    rho,
+        # keep the fiber box symmetric and inside the user bracket
+        r2 = np.minimum(
+            scale * 2.0 ** (-((depth + 1) // 2)),
+            np.min(np.minimum(y - bracket_lo, bracket_hi - y), axis=1),
+        )
+        tested = r2 > 0.0
+        if max_cell_radius is not None:
+            tested &= np.max(np.maximum(hi - center, center - lo), axis=1) <= max_cell_radius
+        batch = np.flatnonzero(tested)
+        res = krawczyk_cells(system, (lo[batch], hi[batch]), y[batch], r2[batch], rho)
+        tests += len(batch)
+        passed = np.zeros(len(lo), dtype=bool)
+        passed[batch] = res.passed
+        ranges: dict = {}  # cells of one depth share axis ranges; keep one copy of each
+        for cell_lo, cell_hi, k, yc, r, norm_k, threshold, margin in zip(
+            *(a[passed].tolist() for a in (lo, hi, sheet, y, r2)),
+            *(a[res.passed].tolist() for a in (res.norm_k, res.threshold, res.margin)),
+        ):
+            cells.append(
+                GraphCell(
+                    bounds=tuple(ranges.setdefault(ab, ab) for ab in zip(cell_lo, cell_hi)),
+                    depth=depth,
+                    sheet=k,
+                    fiber_center=tuple(yc),
+                    fiber_radius=r,
+                    # every fiber root over the cell lies in y + K, so the K
+                    # norm is a valid (and much tighter) enclosure radius
+                    # than the rho * r2 pass threshold
+                    fiber_enclosure=norm_k,
+                    cert=KrawczykResult(True, norm_k, threshold, margin),
                 )
-            except ATTEMPT_ERRORS:
-                res = None
-            if res is not None and res.passed:
-                cells.append(
-                    GraphCell(
-                        bounds=bounds,
-                        depth=depth,
-                        sheet=sheet_idx,
-                        fiber_center=tuple(y),
-                        fiber_radius=r2,
-                        # every fiber root over the cell lies in y + K, so
-                        # the K norm is a valid (and much tighter) enclosure
-                        # radius than the rho * r2 pass threshold
-                        fiber_enclosure=res.norm_k,
-                        cert=res,
-                    )
-                )
-                certified = True
+            )
 
-        if not certified:
-            if depth >= max_depth:
-                raise CertificationError(
-                    f"cell at {tuple(center)} failed to certify above depth {max_depth}"
-                )
-            for child in _split_bounds(bounds, center):
-                queue.append((child, depth + 1, sheet_idx, list(y)))
+        failed = ~passed
+        if depth >= max_depth and failed.any():
+            where = tuple(center[np.argmax(failed)].tolist())
+            raise CertificationError(f"cell at {where} failed to certify above depth {max_depth}")
+        lo, hi = _split_cells(lo[failed], hi[failed], center[failed])
+        sheet = np.repeat(sheet[failed], 1 << d)
+        seed = np.repeat(y[failed], 1 << d, axis=0)
+        depth += 1
 
     cells.sort(key=lambda c: (c.sheet, c.depth, c.bounds))
     return GraphCover(
@@ -293,17 +312,14 @@ def cover_graph(
         sheets=len(sheets),
         base_bounds=base_bounds,
         rho=float(rho),
+        tests=tests,
     )
 
 
-def _max_halfwidth(bounds, center) -> float:
-    return max(max(hi - c, c - lo) for (lo, hi), c in zip(bounds, center))
-
-
-def _split_bounds(bounds, center):
-    """All 2^d children, splitting every axis at the shared midpoint."""
-    pieces = [((lo, c), (c, hi)) for (lo, hi), c in zip(bounds, center)]
-    out = [()]
-    for lo_hi in pieces:
-        out = [prefix + (half,) for prefix in out for half in lo_hi]
-    return out
+def _split_cells(lo: np.ndarray, hi: np.ndarray, center: np.ndarray):
+    """All 2^d children of each cell, splitting every axis at the shared midpoint."""
+    d = lo.shape[1]
+    upper = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(bool)
+    child_lo = np.where(upper, center[:, None, :], lo[:, None, :])
+    child_hi = np.where(upper, hi[:, None, :], center[:, None, :])
+    return child_lo.reshape(-1, d), child_hi.reshape(-1, d)

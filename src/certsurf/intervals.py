@@ -30,11 +30,17 @@ Interval products have two kernels, one per shape of work.
   ``Interval`` objects costs a few microseconds and numpy's per-call
   overhead would cost tens.
 * The endpoint-array kernel (``array_add``, ``array_mul``, ``array_dot``,
-  ``array_matvec``) serves batched box geometry: the separating-axis test
-  and the edge-piece tests of surface growth, which push a few hundred
-  endpoint products through each call.  Its operands are (lo, hi) pairs of
-  float64 ndarrays; see ``array_dot`` for why it is sound and why it
-  contains the scalar kernel's result.
+  ``array_matvec``, ``array_matmul``) serves batched work: the box
+  geometry of surface growth (the separating-axis test and the edge-piece
+  tests) and graph-cell certification, where one Krawczyk test runs over
+  every cell of a graph depth at once.  For the expression trees of that
+  test it also has ``array_sub``, ``array_neg``, ``array_power``,
+  ``array_div`` and ``array_sqrt``, which mark a lane where the operation
+  is undefined with NaN instead of raising.  Its operands are (lo, hi)
+  pairs of float64 ndarrays; see ``array_dot`` for why it is sound and why
+  it contains the scalar kernel's result.  Every step rounds to nearest
+  and then moves one ulp out, with no exactness detection, so it never
+  reads tighter than the scalar kernel.
 
 Both kernels sum left to right in a fixed order.  Directed rounding is not
 associative, so that fixed order is what keeps every enclosure, and every
@@ -226,19 +232,21 @@ def sqrt_down(x: float) -> float:
 
 
 def pow_up(x: float, k: int) -> float:
-    """Upper bound on x**k for integer k >= 1 by rounded binary exponentiation."""
-    if k == 1:
-        return x
+    """Upper bound on x**k for integer k >= 1 by rounded binary exponentiation.
+
+    The chain of products is the one ``array_power`` makes, so its bound
+    holds this one.
+    """
     if x < 0.0:
         if k % 2 == 0:
             return pow_up(-x, k)
         return -pow_down(-x, k)
-    acc = 1.0
+    acc = None
     base = x
     n = k
     while n:
         if n & 1:
-            acc = mul_up(acc, base)
+            acc = base if acc is None else mul_up(acc, base)
         n >>= 1
         if n:
             base = mul_up(base, base)
@@ -246,18 +254,16 @@ def pow_up(x: float, k: int) -> float:
 
 
 def pow_down(x: float, k: int) -> float:
-    if k == 1:
-        return x
     if x < 0.0:
         if k % 2 == 0:
             return pow_down(-x, k)
         return -pow_up(-x, k)
-    acc = 1.0
+    acc = None
     base = x
     n = k
     while n:
         if n & 1:
-            acc = mul_down(acc, base)
+            acc = base if acc is None else mul_down(acc, base)
         n >>= 1
         if n:
             base = mul_down(base, base)
@@ -513,6 +519,113 @@ def array_matvec(m, x):
     Both broadcast, so one call maps a batch of vectors.
     """
     return array_dot(m, (x[0][..., None, :], x[1][..., None, :]))
+
+
+def array_matmul(a, b):
+    """Outward a . b for an (..., r, k) and a (..., k, c) matrix pair; both broadcast."""
+    rows = (a[0][..., :, None, :], a[1][..., :, None, :])
+    cols = (np.swapaxes(b[0], -1, -2)[..., None, :, :], np.swapaxes(b[1], -1, -2)[..., None, :, :])
+    return array_dot(rows, cols)
+
+
+# The operations below complete the kernel for expression trees.  Where an
+# operation is undefined on a lane (a divisor or a negative-power base that
+# holds 0, a square root of a range reaching below 0) that lane is NaN, the
+# array form of ``IntervalDomainError``: NaN spreads through every later
+# step, and each claim is a comparison that is False on NaN.
+
+
+def array_neg(a):
+    """Exact (lo, hi) of -a."""
+    return -a[1], -a[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def array_sub(a, b):
+    """Outward (lo, hi) of a - b for endpoint pairs, elementwise."""
+    return np.nextafter(a[0] - b[1], -_INF), np.nextafter(a[1] - b[0], _INF)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def array_div(a, b):
+    """Outward (lo, hi) of a / b; NaN where b holds 0."""
+    p, q, r, s = a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1]
+    lo = np.minimum(np.minimum(p, q), np.minimum(r, s))
+    hi = np.maximum(np.maximum(p, q), np.maximum(r, s))
+    undefined = (b[0] <= 0.0) & (0.0 <= b[1])
+    return (
+        np.where(undefined, np.nan, np.nextafter(lo, -_INF)),
+        np.where(undefined, np.nan, np.nextafter(hi, _INF)),
+    )
+
+
+@np.errstate(invalid="ignore")
+def array_sqrt(a):
+    """Outward (lo, hi) of sqrt(a); NaN where a reaches below 0."""
+    undefined = a[0] < 0.0
+    lo = np.maximum(np.nextafter(np.sqrt(np.maximum(a[0], 0.0)), -_INF), 0.0)
+    hi = np.nextafter(np.sqrt(a[1]), _INF)
+    return np.where(undefined, np.nan, lo), np.where(undefined, np.nan, hi)
+
+
+def _array_pow_ends(x, k: int):
+    """Lower and upper bounds on x**k for x >= 0 and k >= 1, by binary exponentiation.
+
+    Every factor is nonnegative, so each lower bound is clamped at 0.
+    """
+    lo = hi = None
+    base_lo = base_hi = x
+    while True:
+        if k & 1:
+            lo = base_lo if lo is None else np.maximum(np.nextafter(lo * base_lo, -_INF), 0.0)
+            hi = base_hi if hi is None else np.nextafter(hi * base_hi, _INF)
+        k >>= 1
+        if not k:
+            return lo, hi
+        base_lo = np.maximum(np.nextafter(base_lo * base_lo, -_INF), 0.0)
+        base_hi = np.nextafter(base_hi * base_hi, _INF)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def array_power(a, k: int):
+    """Outward (lo, hi) of a**k for an integer k, by ``Interval.power``'s rule.
+
+    Even powers run from the power of the least magnitude (0 when a holds 0)
+    to that of the greatest; odd powers are monotone; a negative power is
+    the reciprocal of the positive one, NaN where a holds 0.
+    """
+    lo, hi = np.asarray(a[0], dtype=float), np.asarray(a[1], dtype=float)
+    if k == 0:
+        one = np.ones(np.broadcast(lo, hi).shape)
+        return one, one
+    mag = np.maximum(np.abs(lo), np.abs(hi))
+    holds_zero = (lo <= 0.0) & (0.0 <= hi)
+    mig = np.where(holds_zero, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    if k < 0:
+        least = _array_pow_ends(mig, -k)[0]
+        out_lo = np.maximum(np.nextafter(1.0 / _array_pow_ends(mag, -k)[1], -_INF), 0.0)
+        out_hi = np.where(least == 0.0, _INF, np.nextafter(1.0 / least, _INF))
+        if k % 2:
+            negative = hi < 0.0
+            out_lo, out_hi = np.where(negative, -out_hi, out_lo), np.where(negative, -out_lo, out_hi)
+        return np.where(holds_zero, np.nan, out_lo), np.where(holds_zero, np.nan, out_hi)
+    if k % 2 == 0:
+        return _array_pow_ends(mig, k)[0], _array_pow_ends(mag, k)[1]
+    lo_down, lo_up = _array_pow_ends(np.abs(lo), k)
+    hi_down, hi_up = _array_pow_ends(np.abs(hi), k)
+    return np.where(lo < 0.0, -lo_up, lo_down), np.where(hi < 0.0, -hi_down, hi_up)
+
+
+def array_midpoint(lo, hi):
+    """``Interval.midpoint`` of each [lo, hi], elementwise and bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = 0.5 * lo + 0.5 * hi
+        m = np.where((lo <= m) & (m <= hi), m, lo + 0.5 * (hi - lo))
+    m = np.minimum(np.maximum(m, lo), hi)
+    low_open, high_open = lo == -_INF, hi == _INF
+    m = np.where(low_open, np.where(hi < 0, np.minimum(hi, -_MAX), np.minimum(0.0, hi)), m)
+    m = np.where(high_open, np.where(lo > 0, np.maximum(lo, _MAX), np.maximum(0.0, lo)), m)
+    return np.where(low_open & high_open, 0.0, m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,64 @@
 """Interval Krawczyk tests over box slices of an analytic system.
 
-One kernel, ``_krawczyk_terms``, evaluates the Krawczyk operator and picks
-its own preconditioner.  ``krawczyk_test`` proves that over a whole base
-box the system has, for every base point, a unique fiber solution within
-``rho * fiber_radius`` of the fiber center: that is the certificate every
-exported patch carries.  ``refine_fiber_root`` is the square test, the same
-kernel over a point base box: it shrinks a bracket around one fiber root
-and proves the root exists; its output enclosures feed the coverage
-bookkeeping, so they are rigorous rather than best-effort.
+Every test evaluates the Krawczyk operator
+
+    K = (Id - A Jfiber(I x X)) (X - c) - A F(I, c)
+
+over a base box I and the fiber box X of radius r around the fiber
+center c, and picks its own preconditioner A: the float inverse of the
+fiber Jacobian at (midpoint of I, c), behind a residual gate.  F(I, c) is
+the natural extension intersected with the mean-value form around the
+midpoint of I.  When |K|_inf < rho * r, every base point in I has exactly
+one fiber solution in X, and it lies within |K|_inf of c.
+
+* ``krawczyk_test`` runs it on one box on the scalar interval kernel
+  (``_krawczyk_terms``): the certificate every exported patch carries.
+  Surface growth calls it one box at a time, where numpy's per-call
+  overhead would lose.
+* ``krawczyk_cells`` runs it on a batch of graph cells at once on the
+  endpoint-array kernel: ``cover_graph`` tests every untested cell of one
+  depth in one call, and ``verify`` every cell record of a file.  Its
+  lanes are independent, so a cell's numbers do not depend on the batch.
+* ``refine_fiber_root`` is the square test, the scalar kernel over a point
+  base box: it shrinks a bracket around one fiber root and proves the
+  root exists; its output enclosures feed the coverage bookkeeping, so
+  they are rigorous rather than best-effort.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CertificationError, RefinementStalledError
-from .intervals import Interval, IntervalBox, IntervalMatrix, mul_down, sub_down
-from .linalg import approx_inverse
+import numpy as np
 
-__all__ = ["KrawczykResult", "krawczyk_test", "refine_fiber_root"]
+from .errors import CertificationError, IntervalDomainError, RefinementStalledError
+from .intervals import (
+    Interval,
+    IntervalBox,
+    IntervalMatrix,
+    array_add,
+    array_matmul,
+    array_matvec,
+    array_midpoint,
+    array_sub,
+    mul_down,
+    sub_down,
+)
+from .linalg import approx_inverse, approx_inverses
+
+__all__ = ["KrawczykResult", "krawczyk_cells", "krawczyk_test", "refine_fiber_root"]
 
 _REFINE_MAX_ITER = 60
 
 
 @dataclass(frozen=True, slots=True)
 class KrawczykResult:
-    """Outcome of one contraction test, all bounds outward rounded."""
+    """Outcome of one contraction test, all bounds outward rounded.
+
+    ``krawczyk_cells`` returns one whose fields are arrays, one entry per cell.
+    """
 
     passed: bool
     norm_k: float  # upper bound on |K|_inf
@@ -119,6 +151,79 @@ def _slice_value_enclosure(
         # only come from a contract violation upstream
         raise CertificationError("inconsistent slice enclosures")
     return out
+
+
+def krawczyk_cells(system, base, fiber_center, fiber_radius, rho: float) -> KrawczykResult:
+    """``krawczyk_test`` on a batch of cells, on the endpoint-array kernel.
+
+    ``base`` is an endpoint pair (lo, hi) of shape (N, d): cell i is the box
+    from lo[i] to hi[i], tested against the fiber box of radius
+    ``fiber_radius[i]`` around ``fiber_center[i]`` (shape (N, m)).  Each
+    array step rounds to nearest and then one ulp outward, so a cell's
+    ``norm_k`` sits on or above the scalar test's in the last bits.  A cell
+    whose preconditioner fails its gate, or whose evaluation leaves the
+    domain of an operation, is NaN and fails.
+
+    No step reduces across the batch axis and each preconditioner is
+    inverted on its own, so a cell's result is bit-equal whatever else is
+    in the batch: ``verify`` reproduces the cover's numbers exactly.
+    """
+    lo, hi = (np.asarray(side, dtype=float) for side in base)
+    center = np.asarray(fiber_center, dtype=float)
+    radius = np.asarray(fiber_radius, dtype=float)[:, None]
+    d, m = system.d, system.m
+    if lo.shape[1:] != (d,) or hi.shape != lo.shape or center.shape != (len(lo), m):
+        raise ValueError("base/fiber split does not match the system")
+    if not (0.0 < rho <= 1.0):
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    mid = array_midpoint(lo, hi)
+    a = approx_inverses(_lane_jacobians(system, np.concatenate([mid, center], axis=1))[..., d:])
+    a = (a, a)
+    base_coords = list(zip(lo.T, hi.T))
+    fiber_point = [(y, y) for y in center.T]
+
+    # F(I, c): the natural extension intersected with the mean-value form;
+    # an empty intersection breaks a contract upstream and fails the cell
+    direct = system.eval_ends(base_coords + fiber_point)
+    thin = system.eval_ends([(x, x) for x in mid.T] + fiber_point)
+    jac = system.jacobian_ends(base_coords + fiber_point)
+    slope = (jac[0][..., :d], jac[1][..., :d])
+    mean_value = array_add(thin, array_matvec(slope, array_sub((lo, hi), (mid, mid))))
+    value_lo = np.maximum(direct[0], mean_value[0])
+    value_hi = np.minimum(direct[1], mean_value[1])
+    empty = value_lo > value_hi
+    value_lo[empty] = value_hi[empty] = math.nan
+    newton = array_matvec(a, (value_lo, value_hi))
+
+    fiber = array_add((center, center), (-radius, radius))
+    jac = system.jacobian_ends(base_coords + list(zip(fiber[0].T, fiber[1].T)))
+    eye = np.eye(m)
+    contraction = array_sub((eye, eye), array_matmul(a, (jac[0][..., d:], jac[1][..., d:])))
+    spread = array_matvec(contraction, array_sub(fiber, (center, center)))
+    k_lo, k_hi = array_sub(spread, newton)
+    norm_k = np.max(np.maximum(np.abs(k_lo), np.abs(k_hi)), axis=-1)
+    threshold = np.nextafter(rho * radius[:, 0], -math.inf)
+    with np.errstate(invalid="ignore"):
+        return KrawczykResult(
+            passed=norm_k < threshold,
+            norm_k=norm_k,
+            threshold=threshold,
+            margin=np.nextafter(threshold - norm_k, -math.inf),
+        )
+
+
+def _lane_jacobians(system, points: np.ndarray) -> np.ndarray:
+    """Float Jacobians at each row of ``points``; NaN for a lane with a domain error."""
+    try:
+        return system.jacobian_point(points)
+    except IntervalDomainError:
+        out = np.full((len(points), system.m, system.n), math.nan)
+        for i in range(len(points)):
+            try:
+                out[i] = system.jacobian_point(points[i : i + 1])[0]
+            except IntervalDomainError:
+                pass
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import LinearAlgebraError, RankDeficientError
 from .intervals import Interval, IntervalMatrix, add_up, div_up, mul_up
 
-__all__ = ["svd_factor", "approx_inverse", "orthogonal_inverse_enclosure"]
+__all__ = ["svd_factor", "approx_inverse", "approx_inverses", "orthogonal_inverse_enclosure"]
 
 _SVD_ORTHO_TOL = 1e-12
 _SVD_RECON_TOL = 1e-10
@@ -69,6 +69,31 @@ def approx_inverse(mat) -> np.ndarray:
     if not (np.all(np.isfinite(inv)) and resid <= _INVERSE_RESIDUAL_TOL):
         raise LinearAlgebraError(f"inverse residual {resid:.3e} too large")
     return inv
+
+
+def approx_inverses(mats) -> np.ndarray:
+    """Float inverses of a stack (N, k, k), NaN where ``approx_inverse`` would raise.
+
+    Each lane is inverted and gated on its own, so its result does not
+    depend on the rest of the stack.
+    """
+    mats = np.asarray(mats, dtype=float)
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(mats)
+        except np.linalg.LinAlgError:  # some lane is singular; the others still count
+            inv = np.stack([_inverse_or_nan(mat) for mat in mats])
+        resid = np.max(np.abs(inv @ mats - np.eye(mats.shape[-1])), axis=(-2, -1))
+    bad = ~(np.all(np.isfinite(inv), axis=(-2, -1)) & (resid <= _INVERSE_RESIDUAL_TOL))
+    inv[bad] = np.nan
+    return inv
+
+
+def _inverse_or_nan(mat: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return np.full(mat.shape, np.nan)
 
 
 def orthogonal_inverse_enclosure(v: np.ndarray) -> IntervalMatrix:

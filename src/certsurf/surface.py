@@ -275,10 +275,10 @@ def _edge_exit_point(patch: CertifiedPatch, axis: int, side: int, t: float) -> n
     base = [0.0, 0.0]
     base[axis] = side * patch.r
     base[1 - axis] = t
-    y = fiber_newton(patch.aligned, base, [0.0] * patch.m)
-    if y is None or max(abs(v) for v in y) > 4.0 * patch.r:
+    y = fiber_newton(patch.aligned, [base], np.zeros((1, patch.m)))[0]
+    if not np.max(np.abs(y)) <= 4.0 * patch.r:  # also a lost lane, which is NaN
         return None
-    return patch.frame.to_world(base + y)
+    return patch.frame.to_world(base + y.tolist())
 
 
 def _edge_slab_ends(patch: CertifiedPatch, pieces) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,14 @@
 """Analytic map F: R^n -> R^m with interval and Jacobian evaluation.
 
 The zero set of F is the object everything downstream certifies.  A system
-knows how to evaluate itself and its Jacobian both at float points (fast,
-approximate, used for Newton steps) and over interval boxes (outward
-rounded, used for certificates).  Orthogonal changes of coordinates are
-applied lazily through :class:`TransformedSystem` so the rounding story
-stays a single matrix sandwich.
+knows how to evaluate itself and its Jacobian at float points (fast,
+approximate, used for Newton steps and preconditioners), over one interval
+box (outward rounded, used for certificates), and over a batch of boxes
+on the endpoint-array kernel (``eval_ends``, ``jacobian_ends``).  Point
+evaluation takes one point of shape (n,) or a batch of lanes of shape
+(N, n), one point per row.  Orthogonal changes of coordinates are applied
+lazily through :class:`TransformedSystem` so the rounding story stays a
+single matrix sandwich.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, LinearAlgebraError
 from .expr import Expr
 from .frames import image_box
-from .intervals import IntervalBox, IntervalMatrix
+from .intervals import IntervalBox, IntervalMatrix, array_add, array_matmul, array_matvec
 from .parser import parse_system
 
 __all__ = ["AnalyticSystem", "TransformedSystem"]
@@ -37,6 +40,34 @@ class _SystemBase:
 
     def transform(self, u, v, shift=None) -> "TransformedSystem":
         return TransformedSystem(self, u, v, shift)
+
+
+def _point_values(exprs, x, shape: tuple) -> np.ndarray:
+    """Float values of the trees at a point (n,) or at lanes, an (N, n) ndarray.
+
+    ``shape`` is the shape of the values at one point.
+    """
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        coords = list(x.T)
+        out = np.empty((len(x), len(exprs)))
+        with np.errstate(over="ignore", invalid="ignore"):  # a lane may overflow
+            for i, e in enumerate(exprs):
+                out[:, i] = e.eval_point(coords)
+        return out.reshape((len(x),) + shape)
+    xs = [float(v) for v in x]
+    return np.array([e.eval_point(xs) for e in exprs], dtype=float).reshape(shape)
+
+
+def _ends_values(exprs, coords, shape: tuple):
+    """Endpoint pair of the trees over a batch of boxes, ``shape`` per box.
+
+    ``coords[i]`` is the (lo, hi) pair of variable i, one entry per box.
+    """
+    lanes = np.broadcast_shapes(*(np.shape(c[0]) for c in coords))
+    lo, hi = np.empty(lanes + (len(exprs),)), np.empty(lanes + (len(exprs),))
+    for i, e in enumerate(exprs):
+        lo[..., i], hi[..., i] = e.eval_ends(coords)
+    return lo.reshape(lanes + shape), hi.reshape(lanes + shape)
 
 
 class AnalyticSystem(_SystemBase):
@@ -86,23 +117,28 @@ class AnalyticSystem(_SystemBase):
             object.__setattr__(self, "_jac", rows)
         return self._jac
 
-    def eval_point(self, x: Sequence[float]) -> np.ndarray:
-        xs = [float(v) for v in x]
-        return np.array([e.eval_point(xs) for e in self.equations], dtype=float)
+    def eval_point(self, x) -> np.ndarray:
+        return _point_values(self.equations, x, (self.m,))
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         return IntervalBox([e.eval_interval(box.parts) for e in self.equations])
 
-    def jacobian_point(self, x: Sequence[float]) -> np.ndarray:
-        xs = [float(v) for v in x]
-        rows = self._jacobian_exprs()
-        return np.array([[de.eval_point(xs) for de in row] for row in rows], dtype=float)
+    def eval_ends(self, coords):
+        return _ends_values(self.equations, coords, (self.m,))
+
+    def jacobian_point(self, x) -> np.ndarray:
+        entries = [de for row in self._jacobian_exprs() for de in row]
+        return _point_values(entries, x, (self.m, self.n))
 
     def jacobian_box(self, box: IntervalBox) -> IntervalMatrix:
         rows = self._jacobian_exprs()
         return IntervalMatrix(
             [[de.eval_interval(box.parts) for de in row] for row in rows]
         )
+
+    def jacobian_ends(self, coords):
+        entries = [de for row in self._jacobian_exprs() for de in row]
+        return _ends_values(entries, coords, (self.m, self.n))
 
 
 # float orthogonality is only approximate; the gate keeps obviously broken
@@ -159,18 +195,34 @@ class TransformedSystem(_SystemBase):
     def __setattr__(self, name, value):
         raise AttributeError("TransformedSystem is immutable")
 
-    def eval_point(self, x: Sequence[float]) -> np.ndarray:
-        w = self.shift + self.v @ np.asarray(x, dtype=float)
-        return self.u.T @ self.base.eval_point(w)
+    def _world_point(self, x) -> np.ndarray:
+        # one matrix-vector product per lane, so lanes never mix
+        return self.shift + (self.v @ np.asarray(x, dtype=float)[..., None])[..., 0]
+
+    def _world_ends(self, coords) -> list:
+        local = tuple(np.stack(np.broadcast_arrays(*side), axis=-1) for side in zip(*coords))
+        lo, hi = array_add((self.shift, self.shift), array_matvec((self.v, self.v), local))
+        return list(zip(np.moveaxis(lo, -1, 0), np.moveaxis(hi, -1, 0)))
+
+    def eval_point(self, x) -> np.ndarray:
+        return (self.u.T @ self.base.eval_point(self._world_point(x))[..., None])[..., 0]
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         vals = self.base.eval_box(image_box(self.shift, self.iv, box))
         return self._iu_t.matvec(vals)
 
-    def jacobian_point(self, x: Sequence[float]) -> np.ndarray:
-        w = self.shift + self.v @ np.asarray(x, dtype=float)
-        return self.u.T @ self.base.jacobian_point(w) @ self.v
+    def eval_ends(self, coords):
+        ut = self.u.T
+        return array_matvec((ut, ut), self.base.eval_ends(self._world_ends(coords)))
+
+    def jacobian_point(self, x) -> np.ndarray:
+        return self.u.T @ self.base.jacobian_point(self._world_point(x)) @ self.v
 
     def jacobian_box(self, box: IntervalBox) -> IntervalMatrix:
         inner = self.base.jacobian_box(image_box(self.shift, self.iv, box))
         return self._iu_t.matmul(inner).matmul(self.iv)
+
+    def jacobian_ends(self, coords):
+        ut = self.u.T
+        inner = self.base.jacobian_ends(self._world_ends(coords))
+        return array_matmul(array_matmul((ut, ut), inner), (self.v, self.v))

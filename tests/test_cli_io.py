@@ -329,6 +329,28 @@ def test_verify_reports_record_without_certificate(saddle_export, tmp_path):
     assert cli_main(["verify", str(bad)]) == 2
 
 
+def test_verify_refuses_format_1_graph_file(saddle_export, tmp_path):
+    # format-1 cells were certified by the scalar kernel, whose last-bit
+    # norm_k sits below today's: the file is refused as a whole, once
+    old = tmp_path / "format1.jsonl"
+    _rewrite(saddle_export, old, lambda header, recs: header.update(format_version=1))
+    report = verify_jsonl(old)
+    assert not report.ok
+    assert len(report.failures) == 1
+    assert "format_version 1" in report.failures[0]
+    assert cli_main(["verify", str(old)]) == 2
+
+
+def test_verify_accepts_format_1_surface_file(cap_run, tmp_path):
+    # patch records and their test did not change between the formats
+    src = tmp_path / "cap.jsonl"
+    write_surface_jsonl(cap_run, src)
+    old = tmp_path / "cap1.jsonl"
+    _rewrite(src, old, lambda header, recs: header.update(format_version=1))
+    assert verify_jsonl(old).ok
+    assert cli_main(["verify", str(old)]) == 0
+
+
 def test_verify_rejects_cell_outside_base(saddle_export, tmp_path):
     bad = tmp_path / "outside.jsonl"
 
@@ -466,7 +488,7 @@ def test_cli_flag_overrides(tmp_path):
     assert header["truncated"] is True
 
 
-def test_cli_graph_subcommand(tmp_path):
+def test_cli_graph_subcommand(tmp_path, capsys):
     out_json = tmp_path / "graph.jsonl"
     code = cli_main(
         [
@@ -484,6 +506,11 @@ def test_cli_graph_subcommand(tmp_path):
         ]
     )
     assert code == 0
+    cells = read_jsonl(out_json)[0]["count"]
+    first = capsys.readouterr().out.splitlines()[0]
+    tests = int(first.split()[-3])
+    assert first == f"{cells} certified cells over 1 sheet(s) from {tests} cell tests"
+    assert tests >= cells
     assert cli_main(["verify", str(out_json)]) == 0
 
 

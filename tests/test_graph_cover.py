@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from certsurf.errors import CertificationError
-from certsurf.graph_cover import cover_graph, isolate_fiber_roots, sheet_measures
+from certsurf.graph_cover import cover_graph, fiber_newton, isolate_fiber_roots, sheet_measures
 from certsurf.intervals import Interval, IntervalBox
 from certsurf.system import AnalyticSystem
 
@@ -44,8 +45,10 @@ def test_plane_certifies_in_one_cell():
     cell = cover.cells[0]
     assert cell.depth == 0
     assert cell.fiber_center == (0.0,)
-    assert cell.cert.norm_k == 0.0
+    # the array kernel steps every result one ulp out, 1 * 1 included
+    assert cell.cert.passed and cell.cert.norm_k < 1e-15
     assert cover.area_fraction() == (Fraction(1),)
+    assert cover.tests == 1
 
 
 def test_tilted_plane_uniform_depth():
@@ -151,6 +154,8 @@ def test_forced_refinement():
     assert len(cover.cells) == 16
     assert all(c.depth == 2 for c in cover.cells)
     assert cover.area_fraction() == (Fraction(1),)
+    # cells wider than the cap are split untested
+    assert cover.tests == 16
 
 
 def test_not_a_graph_raises():
@@ -178,3 +183,32 @@ def test_bad_parameters():
         cover_graph(
             PLANE, [(-1.0, 1.0), (-1.0, 1.0)], IntervalBox([Interval(-0.5, 0.5)]), 0.0
         )
+
+
+def test_cover_counts_its_cell_tests():
+    cover = cover_graph(
+        SADDLE, [(-0.5, 0.5), (-0.5, 0.5)], IntervalBox([Interval(-10.0, 10.0)]), 0.125
+    )
+    # the root cell and four children per failed test are tested
+    failed = cover.tests - len(cover.cells)
+    assert cover.tests == 1 + 4 * failed
+
+
+def test_max_cells_bounds_the_cells_taken():
+    with pytest.raises(CertificationError, match="exceeded 20 cells"):
+        cover_graph(
+            SADDLE, [(-0.5, 0.5), (-0.5, 0.5)], IntervalBox([Interval(-10.0, 10.0)]), 0.125, max_cells=20
+        )
+
+
+def test_fiber_newton_lanes_are_independent():
+    base = np.array([[0.3, 0.4], [0.0, 0.0], [0.9, 0.9], [-0.5, 0.1]])
+    seeds = np.array([[0.8], [1.0], [0.5], [0.9]])
+    roots = fiber_newton(SPHERE, base, seeds)
+    # (0.9, 0.9) lies outside the unit disk: no root, a NaN row
+    assert np.isnan(roots[2]).all()
+    for i in (0, 1, 3):
+        assert roots[i, 0] == pytest.approx(np.sqrt(1 - base[i] @ base[i]), abs=1e-12)
+    for i in range(len(base)):
+        alone = fiber_newton(SPHERE, base[i : i + 1], seeds[i : i + 1])
+        assert alone.tobytes() == roots[i : i + 1].tobytes()

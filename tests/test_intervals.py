@@ -18,9 +18,16 @@ from certsurf.intervals import (
     IntervalMatrix,
     add_down,
     add_up,
+    array_div,
     array_dot,
+    array_matmul,
     array_matvec,
+    array_midpoint,
     array_mul,
+    array_neg,
+    array_power,
+    array_sqrt,
+    array_sub,
     exact_product,
     mul_down,
     mul_up,
@@ -549,3 +556,108 @@ def test_array_matvec_batches_rows_and_vectors():
     for p, vec in enumerate(vecs):
         for i, got in enumerate(m.matvec(vec)):
             assert lo[p, i] <= got.lo and got.hi <= hi[p, i]
+
+
+# ---------------------------------------------------------------------------
+# endpoint-array operations for expression trees: each lane against the
+# scalar operation and exact rationals; a domain-error lane is NaN
+
+
+def _lanes(results):
+    return zip(*(np.asarray(side).tolist() for side in results))
+
+
+def _undefined(lo: float, hi: float) -> None:
+    # NaN on both ends: no comparison made from this lane can hold
+    assert math.isnan(lo) and math.isnan(hi)
+
+
+def _exact_ends(values) -> tuple[Fraction, Fraction]:
+    return min(values), max(values)
+
+
+kernel_pairs = st.lists(st.tuples(kernel_intervals(), kernel_intervals()), min_size=1, max_size=4)
+
+
+@given(kernel_pairs)
+@settings(max_examples=300)
+@example([(Interval(-1.7e308, 1e300), Interval(-1e300, 1.7e308))])
+@example([(Interval(5e-324, 5e-324), Interval(-5e-324, 0.0))])
+def test_array_sub_and_neg_contain_scalar_and_exact(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    for (lo, hi), x, y in zip(_lanes(array_sub(_pair(xs), _pair(ys))), xs, ys):
+        exact = Fraction(x.lo) - Fraction(y.hi), Fraction(x.hi) - Fraction(y.lo)
+        _contains(lo, hi, x - y, *exact)
+    for (lo, hi), x in zip(_lanes(array_neg(_pair(xs))), xs):
+        assert (lo, hi) == (-x.hi, -x.lo)
+
+
+@given(st.lists(kernel_intervals(), min_size=1, max_size=4), st.integers(-3, 5))
+@settings(max_examples=400)
+@example([Interval(-2.0, 3.0), Interval(0.0, 0.0), Interval(-1e-310, -1e-320)], -3)
+@example([Interval(-1e300, 1.7e308), Interval(5e-324, 1e-307)], 5)
+@example([Interval(-1.7e308, -1e299), Interval(1e-300, 1e-300)], -2)
+def test_array_power_contains_scalar_and_exact(xs, k):
+    for (lo, hi), x in zip(_lanes(array_power(_pair(xs), k)), xs):
+        if k < 0 and x.contains(0.0):
+            with pytest.raises(IntervalDomainError):
+                x.power(k)
+            _undefined(lo, hi)
+            continue
+        ends = [Fraction(x.lo) ** k, Fraction(x.hi) ** k]
+        if k > 0 and k % 2 == 0 and x.contains(0.0):
+            ends.append(Fraction(0))
+        _contains(lo, hi, x.power(k), *_exact_ends(ends))
+
+
+@given(kernel_pairs)
+@settings(max_examples=300)
+@example([(Interval(1.0, 2.0), Interval(-1.0, 1.0)), (Interval(1.0, 1.0), Interval(3.0, 3.0))])
+@example([(Interval(1e300, 1.7e308), Interval(5e-324, 1e-307))])
+def test_array_div_contains_scalar_and_exact(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    for (lo, hi), x, y in zip(_lanes(array_div(_pair(xs), _pair(ys))), xs, ys):
+        if y.contains(0.0):
+            with pytest.raises(IntervalDomainError):
+                x / y
+            _undefined(lo, hi)
+            continue
+        ends = [Fraction(a) / Fraction(b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+        _contains(lo, hi, x / y, *_exact_ends(ends))
+
+
+@given(st.lists(kernel_intervals(), min_size=1, max_size=4))
+@settings(max_examples=300)
+@example([Interval(-1.0, 4.0), Interval(0.0, 2.0), Interval(4.0, 9.0)])
+@example([Interval(5e-324, 1.7e308)])
+def test_array_sqrt_contains_scalar_and_exact(xs):
+    for (lo, hi), x in zip(_lanes(array_sqrt(_pair(xs))), xs):
+        if x.lo < 0.0:
+            with pytest.raises(IntervalDomainError):
+                x.sqrt()
+            _undefined(lo, hi)
+            continue
+        scalar = x.sqrt()
+        assert 0.0 <= lo <= scalar.lo and scalar.hi <= hi
+        assert Fraction(lo) ** 2 <= Fraction(x.lo)
+        assert Fraction(x.hi) <= Fraction(hi) ** 2
+
+
+@given(st.lists(extended_intervals(), min_size=1, max_size=4))
+@example([Interval(-math.inf, -1.0), Interval(1.0, math.inf), Interval(-math.inf, math.inf)])
+@example([Interval(-5e-324, 5e-324), Interval(1e308, 1.7e308)])
+def test_array_midpoint_is_the_scalar_midpoint(xs):
+    got = array_midpoint(*_pair(xs))
+    assert got.tolist() == [x.midpoint() for x in xs]
+
+
+def test_array_matmul_contains_scalar_matmul():
+    rng = random.Random(5)
+    a = IntervalMatrix(_random_matrix(rng, 2, 3))
+    b = IntervalMatrix(_random_matrix(rng, 3, 2))
+    lo, hi = array_matmul(a.ends(), b.ends())
+    for i, row in enumerate(a.matmul(b).rows):
+        for j, got in enumerate(row):
+            assert lo[i, j] <= got.lo and got.hi <= hi[i, j]

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
-from certsurf.errors import RefinementStalledError
+from certsurf.errors import ATTEMPT_ERRORS, RefinementStalledError
 from certsurf.frames import tangent_align
+from certsurf.graph_cover import fiber_newton, isolate_fiber_roots
 from certsurf.intervals import Interval, IntervalBox, IntervalMatrix
 from certsurf.krawczyk import (
     _krawczyk_terms,
     _slice_value_enclosure,
+    krawczyk_cells,
     krawczyk_test,
     refine_fiber_root,
 )
@@ -172,3 +176,88 @@ def test_refine_respects_bracket_fuzz():
         resid = s.eval_point([bx, by, center[0]])[0]
         assert abs(resid) < 1e-9
     assert hits > 20
+
+
+# ---------------------------------------------------------------------------
+# the batched cell test against the scalar one
+
+# graph-position systems: (source, base ranges, fiber bracket)
+CELL_SYSTEMS = {
+    "saddle": (
+        "variables = x y z\n0.25*x^2 - 0.125*x*y^2 - z = 0\n",
+        [(-1.5, 1.5), (-1.5, 1.5)],
+        [(-10.0, 10.0)],
+    ),
+    "sphere_cap": (SPHERE_SRC, [(-0.6, 0.6), (-0.6, 0.6)], [(0.2, 1.5)]),
+    # the root cell's Jacobian divides by an enclosure of sqrt(...) that holds 0
+    "sqrt": ("variables = x y\ny - sqrt(x^2 - x + 1) = 0\n", [(0.0, 1.0)], [(-10.0, 10.0)]),
+    "two_sheets": ("variables = x y z\nz^2 - 1 = 0\n", [(-1.0, 1.0), (-1.0, 1.0)], [(-1.5, 1.5)]),
+    "curve": (
+        "variables = x y z\nx^2 + y^2 + z^2 - 1 = 0\nx + y + z - 0.5 = 0\n",
+        [(-0.5, 0.5)],
+        [(-1.5, 1.5), (-1.5, 1.5)],
+    ),
+}
+
+
+def _random_cells(name: str, count: int, rng: random.Random):
+    """Dyadic cells of a system with Newton fiber centers, some nudged off the sheet.
+
+    Cell 0 is the root cell; the rest have random depths up to 10.
+    """
+    source, base, bracket = CELL_SYSTEMS[name]
+    system = AnalyticSystem.from_source(source)
+    roots = isolate_fiber_roots(
+        system, [Interval(lo, hi).midpoint() for lo, hi in base], IntervalBox([Interval(*b) for b in bracket])
+    )
+    lo, hi, centers, radii = [], [], [], []
+    for k in range(count):
+        depth = 0 if k == 0 else rng.randrange(11)
+        cell = []
+        for b_lo, b_hi in base:
+            step = (b_hi - b_lo) / 2**depth
+            j = rng.randrange(2**depth)
+            cell.append((b_lo + j * step, b_lo + (j + 1) * step))
+        mid = [Interval(a, b).midpoint() for a, b in cell]
+        y = fiber_newton(system, [mid], [rng.choice(roots)[0]])[0]
+        if rng.random() < 0.2:
+            y = y + rng.uniform(-1e-3, 1e-3)
+        lo.append([a for a, _ in cell])
+        hi.append([b for _, b in cell])
+        centers.append(y)
+        # around the radius cover_graph gives a cell of this depth
+        scale = (base[0][1] - base[0][0]) / 2 * 2.0 ** -((depth + 1) // 2)
+        radii.append(scale * rng.choice([0.25, 0.5, 1.0, 2.0]))
+    return system, np.array(lo), np.array(hi), np.array(centers), np.array(radii)
+
+
+@pytest.mark.parametrize("name", sorted(CELL_SYSTEMS))
+def test_krawczyk_cells_is_krawczyk_test_stepped_out(name):
+    system, lo, hi, centers, radii = _random_cells(name, 40, random.Random(21))
+    batch = krawczyk_cells(system, (lo, hi), centers, radii, 0.125)
+    assert batch.passed.any() and not batch.passed.all()
+    for i in range(len(lo)):
+        box = IntervalBox([Interval(a, b) for a, b in zip(lo[i], hi[i])])
+        try:
+            scalar = krawczyk_test(system, box, centers[i].tolist(), float(radii[i]), 0.125)
+        except ATTEMPT_ERRORS:
+            # a domain error, a failed preconditioner gate or an empty slice
+            # enclosure: the lane is NaN and fails
+            assert math.isnan(batch.norm_k[i]) and not batch.passed[i]
+        else:
+            assert scalar.norm_k <= batch.norm_k[i]
+            assert scalar.passed or not batch.passed[i]
+        alone = krawczyk_cells(system, (lo[i : i + 1], hi[i : i + 1]), centers[i : i + 1], radii[i : i + 1], 0.125)
+        for field in ("passed", "norm_k", "threshold", "margin"):
+            assert getattr(alone, field).tobytes() == getattr(batch, field)[i : i + 1].tobytes()
+    if name == "sqrt":
+        assert math.isnan(batch.norm_k[0])
+
+
+def test_krawczyk_cells_rejects_bad_parameters():
+    s = AnalyticSystem.from_source(SPHERE_SRC)
+    cell = (np.array([[-0.1, -0.1]]), np.array([[0.1, 0.1]]))
+    with pytest.raises(ValueError):
+        krawczyk_cells(s, cell, np.array([[1.0]]), np.array([0.1]), 0.0)
+    with pytest.raises(ValueError):
+        krawczyk_cells(s, cell, np.array([[1.0, 2.0]]), np.array([0.1]), 0.125)

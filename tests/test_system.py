@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certsurf.errors import ConfigError, LinearAlgebraError
+from certsurf.errors import ConfigError, IntervalDomainError, LinearAlgebraError
 from certsurf.intervals import Interval, IntervalBox
 from certsurf.parser import parse_expression
 from certsurf.system import AnalyticSystem
@@ -169,3 +169,59 @@ def test_eval_box_encloses_center(center, radii):
     jp = s.jacobian_point(center)
     for j in range(3):
         assert jout[0, j].lo <= jp[0, j] <= jout[0, j].hi
+
+
+def _torus_frames():
+    """The torus, its rotated and shifted transform, and a transform of that."""
+    s = torus()
+    th = 0.3
+    v = np.array([[np.cos(th), -np.sin(th), 0.0], [np.sin(th), np.cos(th), 0.0], [0.0, 0.0, 1.0]])
+    g = s.transform(np.eye(1), v, shift=[0.1, 0.0, 0.0])
+    return [s, g, g.transform(np.eye(1), _rotation_z90())]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["analytic", "transformed", "nested"])
+def test_batched_evaluation_contains_the_scalar_one(which):
+    system = _torus_frames()[which]
+    rng = random.Random(3)
+    boxes = [
+        IntervalBox.from_center_radii(
+            [rng.uniform(1.5, 2.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4)],
+            [abs(rng.gauss(0, 0.05)) for _ in range(3)],
+        )
+        for _ in range(12)
+    ]
+    coords = [
+        (np.array([b[i].lo for b in boxes]), np.array([b[i].hi for b in boxes])) for i in range(3)
+    ]
+    (v_lo, v_hi), (j_lo, j_hi) = system.eval_ends(coords), system.jacobian_ends(coords)
+    assert v_lo.shape == (12, 1) and j_lo.shape == (12, 1, 3)
+    for k, box in enumerate(boxes):
+        value, jac = system.eval_box(box), system.jacobian_box(box)
+        assert v_lo[k, 0] <= value[0].lo and value[0].hi <= v_hi[k, 0]
+        for j in range(3):
+            assert j_lo[k, 0, j] <= jac[0, j].lo and jac[0, j].hi <= j_hi[k, 0, j]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["analytic", "transformed", "nested"])
+def test_point_evaluation_takes_lanes(which):
+    system = _torus_frames()[which]
+    rng = np.random.default_rng(4)
+    points = rng.uniform([1.5, -0.5, -0.4], [2.5, 0.5, 0.4], size=(9, 3))
+    values, jacs = system.eval_point(points), system.jacobian_point(points)
+    assert values.shape == (9, 1) and jacs.shape == (9, 1, 3)
+    for k, p in enumerate(points):
+        np.testing.assert_allclose(values[k], system.eval_point(p), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(jacs[k], system.jacobian_point(p), rtol=1e-13, atol=1e-15)
+        assert system.eval_point(points[k : k + 1]).tobytes() == values[k : k + 1].tobytes()
+        assert system.jacobian_point(points[k : k + 1]).tobytes() == jacs[k : k + 1].tobytes()
+
+
+def test_point_lanes_raise_on_any_domain_error():
+    s = AnalyticSystem.from_source("variables = x y\ny - sqrt(x) = 0\n")
+    assert s.eval_point(np.array([[1.0, 0.0], [4.0, 0.0]]))[:, 0].tolist() == [-1.0, -2.0]
+    with pytest.raises(IntervalDomainError):
+        s.eval_point(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    p = AnalyticSystem.from_source("variables = x y\ny - x^(-3) = 0\n")
+    with pytest.raises(IntervalDomainError):
+        p.eval_point(np.array([[1.0, 0.0], [0.0, 0.0]]))
