@@ -4,16 +4,19 @@ Nodes: variable, numeric constant, unary negate/sqrt, binary
 add/sub/mul/div, and integer powers; a square is ``Pow(x, 2)``. Interval
 evaluation is the natural extension computed node by node with outward
 rounding; integer powers use the tight monomial rule (even powers never
-dip below zero). Each node evaluates three ways:
+dip below zero). Nodes do not evaluate themselves: a :class:`Tape`
+compiles a list of trees once into a straight-line program, and one loop
+runs it on any of three kernels, one column each of the op table ``_OPS``:
 
-* ``eval_point``: plain float arithmetic for approximate Newton steps and
+* ``POINT``: plain float arithmetic for approximate Newton steps and
   preconditioners.  A coordinate is a float, or an ndarray holding one
   value per lane of a batch; lanes never mix, and a domain error on any
   lane raises.  On lanes an integer power is a fixed chain of products,
   so a lane's value does not depend on its place in the batch.
-* ``eval_interval``: the scalar interval kernel on ``Interval`` objects.
-* ``eval_ends``: the endpoint-array kernel on (lo, hi) pairs, a batch of
+* ``INTERVAL``: the scalar interval kernel on ``Interval`` objects.
+* ``ENDS``: the endpoint-array kernel on (lo, hi) pairs, a batch of
   boxes at once; a lane where an operation is undefined comes out NaN.
+  The pair of a point coordinate may hold one array twice.
 
 Derivatives are built symbolically once via smart constructors that fold
 exact-constant subtrees and drop 0/1 identities.
@@ -22,6 +25,8 @@ exact-constant subtrees and drop 0/1 identities.
 from __future__ import annotations
 
 import math
+import operator
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -43,26 +48,12 @@ from .intervals import (
 class Expr:
     __slots__ = ()
 
-    def eval_point(self, coords: Sequence[float]) -> float:
-        raise NotImplementedError
-
-    def eval_interval(self, box: Sequence[Interval]) -> Interval:
-        raise NotImplementedError
-
-    def eval_ends(self, box):
-        """Endpoint pair of the natural extension over a batch of boxes.
-
-        ``box[i]`` is the (lo, hi) pair of variable i; the pair of a point
-        coordinate may hold one array twice.
-        """
-        raise NotImplementedError
-
     def derivative(self, var: int) -> "Expr":
         raise NotImplementedError
 
     def max_var(self) -> int:
         """Largest variable index used, or -1 when constant."""
-        raise NotImplementedError
+        return max((e.index for e in _postorder([self]) if isinstance(e, Var)), default=-1)
 
 
 class Const(Expr):
@@ -71,20 +62,8 @@ class Const(Expr):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def eval_point(self, coords):
-        return self.value
-
-    def eval_interval(self, box):
-        return Interval.point(self.value)
-
-    def eval_ends(self, box):
-        return self.value, self.value
-
     def derivative(self, var):
         return Const(0.0)
-
-    def max_var(self):
-        return -1
 
     def __eq__(self, other):
         return isinstance(other, Const) and (
@@ -106,20 +85,8 @@ class Var(Expr):
             raise ValueError("variable index must be nonnegative")
         self.index = index
 
-    def eval_point(self, coords):
-        return coords[self.index]
-
-    def eval_interval(self, box):
-        return box[self.index]
-
-    def eval_ends(self, box):
-        return box[self.index]
-
     def derivative(self, var):
         return Const(1.0 if var == self.index else 0.0)
-
-    def max_var(self):
-        return self.index
 
     def __eq__(self, other):
         return isinstance(other, Var) and self.index == other.index
@@ -131,71 +98,38 @@ class Var(Expr):
         return f"Var({self.index})"
 
 
-class Neg(Expr):
+class _Unary(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
         self.arg = arg
 
-    def eval_point(self, coords):
-        return -self.arg.eval_point(coords)
+    def __eq__(self, other):
+        return type(other) is type(self) and self.arg == other.arg
 
-    def eval_interval(self, box):
-        return -self.arg.eval_interval(box)
+    def __hash__(self):
+        return hash((self._tag, self.arg))
 
-    def eval_ends(self, box):
-        return array_neg(self.arg.eval_ends(box))
+    def __repr__(self):
+        return f"{type(self).__name__}({self.arg!r})"
+
+
+class Neg(_Unary):
+    __slots__ = ()
+    _tag = "neg"
 
     def derivative(self, var):
         return neg(self.arg.derivative(var))
 
-    def max_var(self):
-        return self.arg.max_var()
 
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("neg", self.arg))
-
-    def __repr__(self):
-        return f"Neg({self.arg!r})"
-
-
-class Sqrt(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        self.arg = arg
-
-    def eval_point(self, coords):
-        v = self.arg.eval_point(coords)
-        if np.any(v < 0.0):
-            raise IntervalDomainError(f"sqrt of negative value {np.min(v)}")
-        return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
-
-    def eval_interval(self, box):
-        return self.arg.eval_interval(box).sqrt()
-
-    def eval_ends(self, box):
-        return array_sqrt(self.arg.eval_ends(box))
+class Sqrt(_Unary):
+    __slots__ = ()
+    _tag = "sqrt"
 
     def derivative(self, var):
         # d sqrt(u) = u' / (2 sqrt(u))
         du = self.arg.derivative(var)
         return div(du, mul(Const(2.0), Sqrt(self.arg)))
-
-    def max_var(self):
-        return self.arg.max_var()
-
-    def __eq__(self, other):
-        return isinstance(other, Sqrt) and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("sqrt", self.arg))
-
-    def __repr__(self):
-        return f"Sqrt({self.arg!r})"
 
 
 class Pow(Expr):
@@ -209,31 +143,9 @@ class Pow(Expr):
         self.base = base
         self.exponent = exponent
 
-    def eval_point(self, coords):
-        v = self.base.eval_point(coords)
-        k = self.exponent
-        if k < 0 and np.any(v == 0.0):
-            raise IntervalDomainError("division by zero")
-        if isinstance(v, np.ndarray):
-            return _lane_power(v, k)
-        try:
-            return v ** k
-        except OverflowError:
-            # like the product v * v * ... it stands for: inf with the power's sign
-            return -math.inf if v < 0.0 and k % 2 else math.inf
-
-    def eval_interval(self, box):
-        return self.base.eval_interval(box).power(self.exponent)
-
-    def eval_ends(self, box):
-        return array_power(self.base.eval_ends(box), self.exponent)
-
     def derivative(self, var):
         du = self.base.derivative(var)
         return mul(mul(Const(float(self.exponent)), power(self.base, self.exponent - 1)), du)
-
-    def max_var(self):
-        return self.base.max_var()
 
     def __eq__(self, other):
         return isinstance(other, Pow) and self.exponent == other.exponent and self.base == other.base
@@ -247,14 +159,10 @@ class Pow(Expr):
 
 class _Binary(Expr):
     __slots__ = ("left", "right")
-    _tag = "?"
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
-
-    def max_var(self):
-        return max(self.left.max_var(), self.right.max_var())
 
     def __eq__(self, other):
         return type(other) is type(self) and self.left == other.left and self.right == other.right
@@ -270,15 +178,6 @@ class Add(_Binary):
     __slots__ = ()
     _tag = "add"
 
-    def eval_point(self, coords):
-        return self.left.eval_point(coords) + self.right.eval_point(coords)
-
-    def eval_interval(self, box):
-        return self.left.eval_interval(box) + self.right.eval_interval(box)
-
-    def eval_ends(self, box):
-        return array_add(self.left.eval_ends(box), self.right.eval_ends(box))
-
     def derivative(self, var):
         return add(self.left.derivative(var), self.right.derivative(var))
 
@@ -287,15 +186,6 @@ class Sub(_Binary):
     __slots__ = ()
     _tag = "sub"
 
-    def eval_point(self, coords):
-        return self.left.eval_point(coords) - self.right.eval_point(coords)
-
-    def eval_interval(self, box):
-        return self.left.eval_interval(box) - self.right.eval_interval(box)
-
-    def eval_ends(self, box):
-        return array_sub(self.left.eval_ends(box), self.right.eval_ends(box))
-
     def derivative(self, var):
         return sub(self.left.derivative(var), self.right.derivative(var))
 
@@ -303,15 +193,6 @@ class Sub(_Binary):
 class Mul(_Binary):
     __slots__ = ()
     _tag = "mul"
-
-    def eval_point(self, coords):
-        return self.left.eval_point(coords) * self.right.eval_point(coords)
-
-    def eval_interval(self, box):
-        return self.left.eval_interval(box) * self.right.eval_interval(box)
-
-    def eval_ends(self, box):
-        return array_mul(self.left.eval_ends(box), self.right.eval_ends(box))
 
     def derivative(self, var):
         dl = self.left.derivative(var)
@@ -323,18 +204,6 @@ class Div(_Binary):
     __slots__ = ()
     _tag = "div"
 
-    def eval_point(self, coords):
-        den = self.right.eval_point(coords)
-        if np.any(den == 0.0):
-            raise IntervalDomainError("division by zero")
-        return self.left.eval_point(coords) / den
-
-    def eval_interval(self, box):
-        return self.left.eval_interval(box) / self.right.eval_interval(box)
-
-    def eval_ends(self, box):
-        return array_div(self.left.eval_ends(box), self.right.eval_ends(box))
-
     def derivative(self, var):
         # (u/v)' = (u'v - uv') / v^2
         du = self.left.derivative(var)
@@ -343,19 +212,135 @@ class Div(_Binary):
         return div(num, power(self.right, 2))
 
 
-@np.errstate(over="ignore", divide="ignore")
-def _lane_power(v: np.ndarray, k: int) -> np.ndarray:
-    """v**k on lanes by binary exponentiation; overflow gives a signed inf."""
-    acc = None
-    base = v
-    n = abs(k)
-    while True:
-        if n & 1:
-            acc = base if acc is None else acc * base
-        n >>= 1
-        if not n:
-            return acc if k > 0 else 1.0 / acc
-        base = base * base
+# ---------------------------------------------------------------------------
+# evaluation: one op table, one tape
+
+
+def _point_sqrt(v):
+    if np.any(v < 0.0):
+        raise IntervalDomainError(f"sqrt of negative value {np.min(v)}")
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def _point_power(v, k: int):
+    if k < 0 and np.any(v == 0.0):
+        raise IntervalDomainError("division by zero")
+    if not isinstance(v, np.ndarray):
+        try:
+            return v ** k
+        except OverflowError:
+            # like the product v * v * ... it stands for: inf with the power's sign
+            return -math.inf if v < 0.0 and k % 2 else math.inf
+    # on lanes, binary exponentiation; overflow gives a signed inf
+    acc, base, n = None, v, abs(k)
+    with np.errstate(over="ignore", divide="ignore"):
+        while True:
+            if n & 1:
+                acc = base if acc is None else acc * base
+            n >>= 1
+            if not n:
+                return acc if k > 0 else 1.0 / acc
+            base = base * base
+
+
+def _point_div(a, b):
+    if np.any(b == 0.0):
+        raise IntervalDomainError("division by zero")
+    return a / b
+
+
+POINT, INTERVAL, ENDS = 0, 1, 2
+
+# One row per operation node, one column per kernel.  No cell writes into
+# its operands: a slot the tape shares feeds every one of its consumers.
+_OPS = {
+    Neg: (operator.neg, operator.neg, array_neg),
+    Sqrt: (_point_sqrt, Interval.sqrt, array_sqrt),
+    Pow: (_point_power, Interval.power, array_power),
+    Add: (operator.add, operator.add, array_add),
+    Sub: (operator.sub, operator.sub, array_sub),
+    Mul: (operator.mul, operator.mul, array_mul),
+    Div: (_point_div, operator.truediv, array_div),
+}
+
+# how a constant enters each kernel
+_LIFT = (float, Interval.point, lambda v: (v, v))
+
+
+def children(e: Expr) -> tuple:
+    """The operand trees of a node, left to right."""
+    if isinstance(e, _Binary):
+        return e.left, e.right
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, _Unary):
+        return (e.arg,)
+    return ()
+
+
+def _postorder(exprs: Sequence[Expr]) -> list:
+    """Each distinct node object of the trees once, after its operands.
+
+    Nodes are told apart by identity: a subtree that derivative rules
+    reuse is one object and is emitted once, while equal but separate
+    nodes, such as ``Const(0.0)`` and ``Const(-0.0)``, stay apart.  The
+    walk keeps its own stack, so tree depth is bounded by memory only.
+    """
+    seen, order = set(), []
+    stack = [(e, False) for e in reversed(exprs)]
+    while stack:
+        e, expanded = stack.pop()
+        if id(e) in seen:
+            continue
+        kids = children(e)
+        if expanded or not kids:
+            seen.add(id(e))
+            order.append(e)
+        else:
+            stack.append((e, True))
+            stack.extend((c, False) for c in reversed(kids))
+    return order
+
+
+class Tape:
+    """Straight-line program evaluating a list of trees on any kernel.
+
+    Slots hold the inputs (one per variable), then the constants, then one
+    value per operation node in postorder.  ``code`` holds per node its
+    ``_OPS`` row, with a power's exponent bound in, and its operand slots;
+    a unary node's second slot is None.
+    """
+
+    __slots__ = ("n_inputs", "constants", "code", "outputs")
+
+    def __init__(self, exprs: Sequence[Expr], n_inputs: int):
+        nodes = _postorder(exprs)
+        if any(isinstance(e, Var) and e.index >= n_inputs for e in nodes):
+            raise ValueError(f"a tree uses a variable past the {n_inputs} inputs")
+        consts = [e for e in nodes if isinstance(e, Const)]
+        ops = [e for e in nodes if type(e) in _OPS]
+        slot = {id(e): e.index for e in nodes if isinstance(e, Var)}
+        slot.update((id(e), n_inputs + i) for i, e in enumerate(consts + ops))
+        self.code = []
+        for e in ops:
+            row = _OPS[type(e)]
+            if isinstance(e, Pow):
+                row = tuple(partial(f, k=e.exponent) for f in row)
+            a, *b = [slot[id(c)] for c in children(e)]
+            self.code.append((row, a, b[0] if b else None))
+        self.n_inputs = n_inputs
+        self.constants = tuple([lift(e.value) for e in consts] for lift in _LIFT)
+        self.outputs = [slot[id(e)] for e in exprs]
+
+    def run(self, kernel: int, inputs: Sequence) -> list:
+        """Values of the trees on ``kernel``, with variable i held as ``inputs[i]``."""
+        if len(inputs) != self.n_inputs:
+            raise ValueError(f"tape takes {self.n_inputs} inputs, got {len(inputs)}")
+        vals = [*inputs, *self.constants[kernel]]
+        for row, a, b in self.code:
+            f = row[kernel]
+            vals.append(f(vals[a]) if b is None else f(vals[a], vals[b]))
+        return [vals[i] for i in self.outputs]
 
 
 # ---------------------------------------------------------------------------

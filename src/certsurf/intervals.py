@@ -22,7 +22,7 @@ floats: wrap a float with ``Interval.point``.
 Interval products have two kernels, one per shape of work.
 
 * The scalar kernel serves ``Interval`` arithmetic and ``IntervalMatrix``:
-  expression evaluation, Krawczyk tests, frame images of single boxes.
+  the expression tape's ``INTERVAL`` column, Krawczyk tests, frame images.
   ``_mul_endpoints`` is its one sign-case table; ``Interval.__mul__`` uses
   it, and so does ``_dot``, the one outward dot product, which
   ``IntervalMatrix.matvec`` and ``IntervalMatrix.matmul`` share.  These
@@ -33,8 +33,8 @@ Interval products have two kernels, one per shape of work.
   ``array_matvec``, ``array_matmul``) serves batched work: the box
   geometry of surface growth (the separating-axis test and the edge-piece
   tests) and graph-cell certification, where one Krawczyk test runs over
-  every cell of a graph depth at once.  For the expression trees of that
-  test it also has ``array_sub``, ``array_neg``, ``array_power``,
+  every cell of a graph depth at once.  For the expression tape's ``ENDS``
+  column it also has ``array_sub``, ``array_neg``, ``array_power``,
   ``array_div`` and ``array_sqrt``, which mark a lane where the operation
   is undefined with NaN instead of raising.  Its operands are (lo, hi)
   pairs of float64 ndarrays; see ``array_dot`` for why it is sound and why

@@ -56,26 +56,24 @@ def svd_factor(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def approx_inverse(mat) -> np.ndarray:
-    """Float inverse with a residual gate; the caller treats it as a guess."""
+    """Float inverse, one lane of ``approx_inverses``; raises if the lane fails the gate."""
     mat = np.asarray(mat, dtype=float)
     k = mat.shape[0]
     if mat.shape != (k, k):
         raise LinearAlgebraError(f"cannot invert non-square {mat.shape}")
-    try:
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise LinearAlgebraError(f"matrix is singular: {exc}") from exc
-    resid = float(np.max(np.abs(inv @ mat - np.eye(k))))
-    if not (np.all(np.isfinite(inv)) and resid <= _INVERSE_RESIDUAL_TOL):
-        raise LinearAlgebraError(f"inverse residual {resid:.3e} too large")
+    inv = approx_inverses(mat[None])[0]
+    if np.isnan(inv).any():
+        raise LinearAlgebraError("matrix is singular or its inverse fails the residual gate")
     return inv
 
 
 def approx_inverses(mats) -> np.ndarray:
-    """Float inverses of a stack (N, k, k), NaN where ``approx_inverse`` would raise.
+    """Float inverses of a stack (N, k, k); NaN on a lane that fails the gate.
 
-    Each lane is inverted and gated on its own, so its result does not
-    depend on the rest of the stack.
+    A lane fails when it is singular, or when its inverse is not finite or
+    leaves a residual above ``_INVERSE_RESIDUAL_TOL``.  Each lane is
+    inverted and gated on its own, so its result does not depend on the
+    rest of the stack.  The caller treats each inverse as a guess.
     """
     mats = np.asarray(mats, dtype=float)
     with np.errstate(all="ignore"):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .expr import Const, Expr, Sqrt, Var, add, div, mul, neg, power, sub
+from .expr import Const, Expr, Sqrt, Var, add, children, div, mul, neg, power, sub
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
@@ -58,7 +58,21 @@ def _tokenize(text: str, line: int | None = None) -> list[_Token]:
     return tokens
 
 
+# Python allows 1000 nested frames by default.  The parser takes five per
+# nesting level (parentheses, sqrt, sign) and a recursive pass over a parsed
+# tree (derivative, to_source, ==, hash) at most two per tree level; loops
+# build operator chains, so tree depth has its own bound.
 _MAX_DEPTH = 150
+_MAX_TREE_DEPTH = 300
+
+
+def _tree_depth(e: Expr) -> int:
+    deepest, stack = 0, [(e, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in children(node))
+    return deepest
 
 
 class _Parser:
@@ -200,6 +214,10 @@ def parse_expression(text: str, variables: list[str] | tuple[str, ...],
     if leftover is not None:
         raise ParseError(f"unexpected token {leftover.text!r} after expression",
                          line, leftover.column)
+    if _tree_depth(e) > _MAX_TREE_DEPTH:
+        raise ParseError(
+            f"expression nested too deeply (tree depth above {_MAX_TREE_DEPTH})", line
+        )
     return e
 
 
@@ -252,7 +270,4 @@ def parse_system(source: str) -> tuple[list[str], list[Expr]]:
         raise ParseError("missing variables line")
     if not equations:
         raise ParseError("no equations given")
-    for e in equations:
-        if e.max_var() >= len(variables):
-            raise ParseError("equation uses undeclared variable index")
     return variables, equations

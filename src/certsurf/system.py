@@ -4,11 +4,13 @@ The zero set of F is the object everything downstream certifies.  A system
 knows how to evaluate itself and its Jacobian at float points (fast,
 approximate, used for Newton steps and preconditioners), over one interval
 box (outward rounded, used for certificates), and over a batch of boxes
-on the endpoint-array kernel (``eval_ends``, ``jacobian_ends``).  Point
-evaluation takes one point of shape (n,) or a batch of lanes of shape
-(N, n), one point per row.  Orthogonal changes of coordinates are applied
-lazily through :class:`TransformedSystem` so the rounding story stays a
-single matrix sandwich.
+on the endpoint-array kernel (``eval_ends``, ``jacobian_ends``).  An
+:class:`AnalyticSystem` compiles two expression tapes on first use, one
+for F and one for its Jacobian entries, and runs all six evaluations on
+them.  Point evaluation takes one point of shape (n,) or a batch of lanes
+of shape (N, n), one point per row.  Orthogonal changes of coordinates are
+applied lazily through :class:`TransformedSystem` so the rounding story
+stays a single matrix sandwich.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, LinearAlgebraError
-from .expr import Expr
+from .expr import ENDS, INTERVAL, POINT, Expr, Tape
 from .frames import image_box
 from .intervals import IntervalBox, IntervalMatrix, array_add, array_matmul, array_matvec
 from .parser import parse_system
@@ -42,38 +44,38 @@ class _SystemBase:
         return TransformedSystem(self, u, v, shift)
 
 
-def _point_values(exprs, x, shape: tuple) -> np.ndarray:
-    """Float values of the trees at a point (n,) or at lanes, an (N, n) ndarray.
+def _point_values(tape: Tape, x, shape: tuple) -> np.ndarray:
+    """Float values of the tape at a point (n,) or at lanes, an (N, n) ndarray.
 
     ``shape`` is the shape of the values at one point.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:
-        coords = list(x.T)
-        out = np.empty((len(x), len(exprs)))
         with np.errstate(over="ignore", invalid="ignore"):  # a lane may overflow
-            for i, e in enumerate(exprs):
-                out[:, i] = e.eval_point(coords)
+            values = tape.run(POINT, list(x.T))
+        out = np.empty((len(x), len(values)))
+        for i, v in enumerate(values):
+            out[:, i] = v
         return out.reshape((len(x),) + shape)
-    xs = [float(v) for v in x]
-    return np.array([e.eval_point(xs) for e in exprs], dtype=float).reshape(shape)
+    return np.array(tape.run(POINT, [float(v) for v in x]), dtype=float).reshape(shape)
 
 
-def _ends_values(exprs, coords, shape: tuple):
-    """Endpoint pair of the trees over a batch of boxes, ``shape`` per box.
+def _ends_values(tape: Tape, coords, shape: tuple):
+    """Endpoint pair of the tape over a batch of boxes, ``shape`` per box.
 
     ``coords[i]`` is the (lo, hi) pair of variable i, one entry per box.
     """
     lanes = np.broadcast_shapes(*(np.shape(c[0]) for c in coords))
-    lo, hi = np.empty(lanes + (len(exprs),)), np.empty(lanes + (len(exprs),))
-    for i, e in enumerate(exprs):
-        lo[..., i], hi[..., i] = e.eval_ends(coords)
+    values = tape.run(ENDS, coords)
+    lo, hi = np.empty(lanes + (len(values),)), np.empty(lanes + (len(values),))
+    for i, v in enumerate(values):
+        lo[..., i], hi[..., i] = v
     return lo.reshape(lanes + shape), hi.reshape(lanes + shape)
 
 
 class AnalyticSystem(_SystemBase):
     """System given by explicit expression trees in world coordinates."""
 
-    __slots__ = ("variables", "equations", "n", "m", "_jac")
+    __slots__ = ("variables", "equations", "n", "m", "_tapes")
 
     def __init__(self, variables: Sequence[str], equations: Sequence[Expr]):
         variables = list(variables)
@@ -92,7 +94,7 @@ class AnalyticSystem(_SystemBase):
         object.__setattr__(self, "equations", tuple(equations))
         object.__setattr__(self, "n", len(variables))
         object.__setattr__(self, "m", len(equations))
-        object.__setattr__(self, "_jac", None)
+        object.__setattr__(self, "_tapes", [None, None])
 
     def __setattr__(self, name, value):
         raise AttributeError("AnalyticSystem is immutable")
@@ -109,36 +111,32 @@ class AnalyticSystem(_SystemBase):
         lines.extend(f"{eq} = 0" for eq in equations)
         return cls.from_source("\n".join(lines) + "\n")
 
-    def _jacobian_exprs(self):
-        if self._jac is None:
-            rows = tuple(
-                tuple(e.derivative(j) for j in range(self.n)) for e in self.equations
-            )
-            object.__setattr__(self, "_jac", rows)
-        return self._jac
+    def _tape(self, jacobian: bool) -> Tape:
+        """Tape of F, or of the Jacobian entries in row-major order, compiled on first use."""
+        if self._tapes[jacobian] is None:
+            n, eqs = self.n, self.equations
+            trees = [e.derivative(j) for e in eqs for j in range(n)] if jacobian else eqs
+            self._tapes[jacobian] = Tape(trees, n)
+        return self._tapes[jacobian]
 
     def eval_point(self, x) -> np.ndarray:
-        return _point_values(self.equations, x, (self.m,))
+        return _point_values(self._tape(False), x, (self.m,))
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
-        return IntervalBox([e.eval_interval(box.parts) for e in self.equations])
+        return IntervalBox(self._tape(False).run(INTERVAL, box.parts))
 
     def eval_ends(self, coords):
-        return _ends_values(self.equations, coords, (self.m,))
+        return _ends_values(self._tape(False), coords, (self.m,))
 
     def jacobian_point(self, x) -> np.ndarray:
-        entries = [de for row in self._jacobian_exprs() for de in row]
-        return _point_values(entries, x, (self.m, self.n))
+        return _point_values(self._tape(True), x, (self.m, self.n))
 
     def jacobian_box(self, box: IntervalBox) -> IntervalMatrix:
-        rows = self._jacobian_exprs()
-        return IntervalMatrix(
-            [[de.eval_interval(box.parts) for de in row] for row in rows]
-        )
+        entries, n = self._tape(True).run(INTERVAL, box.parts), self.n
+        return IntervalMatrix([entries[i : i + n] for i in range(0, len(entries), n)])
 
     def jacobian_ends(self, coords):
-        entries = [de for row in self._jacobian_exprs() for de in row]
-        return _ends_values(entries, coords, (self.m, self.n))
+        return _ends_values(self._tape(True), coords, (self.m, self.n))
 
 
 # float orthogonality is only approximate; the gate keeps obviously broken

@@ -514,6 +514,17 @@ def test_cli_graph_subcommand(tmp_path, capsys):
     assert cli_main(["verify", str(out_json)]) == 0
 
 
+@pytest.mark.parametrize(
+    "equation", [" + ".join(["x*y"] * 1000), "*".join(["x"] * 500)], ids=["sum", "product"]
+)
+def test_cli_long_operator_chain_exits_3_at_once(equation, capsys):
+    t0 = time.perf_counter()
+    argv = ["graph", "--variables", "x y z", "--equation", equation]
+    assert cli_main(argv + ["--domain", "-0.1 0.1 -0.1 0.1 0.5 1.5"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_cli_missing_inputs_exit_3(tmp_path):
     assert cli_main(["approximate", str(tmp_path / "nope.cfg")]) == 3
     assert cli_main(["verify", str(tmp_path / "nope.jsonl")]) == 3

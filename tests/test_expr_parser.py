@@ -6,12 +6,16 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certsurf.errors import IntervalDomainError, ParseError
 from certsurf.expr import (
+    ENDS,
+    INTERVAL,
+    POINT,
     Add,
     Const,
     Div,
@@ -20,6 +24,7 @@ from certsurf.expr import (
     Pow,
     Sqrt,
     Sub,
+    Tape,
     Var,
     add,
     div,
@@ -37,6 +42,14 @@ XYZ = ["x", "y", "z"]
 SPHERE = "x^2 + y^2 + z^2 - 1"
 TORUS = "(sqrt(x^2 + y^2) - 2)^2 + z^2 - 0.64"
 SADDLE = "-0.125*x*y^2 + 0.25*x^2 - z"
+
+
+def _point(e, coords):
+    return Tape([e], len(coords)).run(POINT, coords)[0]
+
+
+def _interval(e, box):
+    return Tape([e], len(box)).run(INTERVAL, box)[0]
 
 
 def test_sphere_tree_structure():
@@ -62,8 +75,8 @@ def test_torus_tree_structure():
 
 def test_saddle_tree_and_value():
     e = parse_expression(SADDLE, XYZ)
-    assert e.eval_point([2.0, 2.0, 0.0]) == 0.0
-    assert e.eval_point([2.0, 2.0, 1.0]) == -1.0
+    assert _point(e, [2.0, 2.0, 0.0]) == 0.0
+    assert _point(e, [2.0, 2.0, 1.0]) == -1.0
 
 
 def test_equals_zero_suffix():
@@ -89,13 +102,13 @@ def test_pow_rules():
 def test_pow_point_eval_stays_in_the_error_hierarchy():
     # 0 to a negative power is a division by zero, as for Div
     with pytest.raises(IntervalDomainError):
-        Pow(Var(0), -2).eval_point([0.0])
+        _point(Pow(Var(0), -2), [0.0])
     # an overflowing power is inf with the power's sign, as repeated products are
-    assert Pow(Var(0), 3).eval_point([1e110]) == math.inf
-    assert Pow(Var(0), 3).eval_point([-1e110]) == -math.inf
-    assert Pow(Var(0), 4).eval_point([-1e110]) == math.inf
-    assert Pow(Var(0), -3).eval_point([-1e-110]) == -math.inf
-    assert Pow(Var(0), 3).eval_point([-2.0]) == -8.0
+    assert _point(Pow(Var(0), 3), [1e110]) == math.inf
+    assert _point(Pow(Var(0), 3), [-1e110]) == -math.inf
+    assert _point(Pow(Var(0), 4), [-1e110]) == math.inf
+    assert _point(Pow(Var(0), -3), [-1e-110]) == -math.inf
+    assert _point(Pow(Var(0), 3), [-2.0]) == -8.0
 
 
 def test_rejects_malformed():
@@ -126,7 +139,7 @@ def test_precedence():
 
 def test_rational_literal_is_division():
     e = parse_expression("7/8", XYZ)
-    v = e.eval_interval(IntervalBox.point([0.0, 0.0, 0.0]).parts)
+    v = _interval(e, IntervalBox.point([0.0, 0.0, 0.0]).parts)
     assert v == Interval(0.875, 0.875)
 
 
@@ -143,13 +156,13 @@ def test_derivatives_match_finite_differences():
         for _ in range(12):
             p = [rng.uniform(0.5, 2.5), rng.uniform(0.5, 2.5), rng.uniform(-1, 1)]
             for v in range(3):
-                d = e.derivative(v).eval_point(p)
+                d = _point(e.derivative(v), p)
                 h = 1e-6
                 pp = list(p)
                 pm = list(p)
                 pp[v] += h
                 pm[v] -= h
-                approx = (e.eval_point(pp) - e.eval_point(pm)) / (2 * h)
+                approx = (_point(e, pp) - _point(e, pm)) / (2 * h)
                 assert d == pytest.approx(approx, rel=2e-5, abs=2e-5)
 
 
@@ -184,7 +197,7 @@ def test_interval_eval_encloses_high_precision_samples():
             c = [rng.uniform(1.2, 2.8), rng.uniform(1.2, 2.8), rng.uniform(-0.5, 0.5)]
             r = [abs(rng.gauss(0, 0.1)) for _ in range(3)]
             box = IntervalBox.from_center_radii(c, r)
-            out = e.eval_interval(box.parts)
+            out = _interval(e, box.parts)
             for _ in range(6):
                 p = [box[i].lo + rng.random() * (box[i].hi - box[i].lo) for i in range(3)]
                 p = [min(max(p[i], box[i].lo), box[i].hi) for i in range(3)]
@@ -204,7 +217,9 @@ def expr_trees(draw, depth=0):
         leaf = draw(st.sampled_from(["var", "const"]))
     else:
         leaf = draw(
-            st.sampled_from(["var", "const", "neg", "sqrt", "square", "pow", "add", "sub", "mul", "div"])
+            st.sampled_from(
+                ["var", "const", "neg", "sqrt", "square", "pow", "add", "sub", "mul", "div", "twin"]
+            )
         )
     if leaf == "var":
         return Var(draw(st.integers(0, 2)))
@@ -218,6 +233,9 @@ def expr_trees(draw, depth=0):
         return power(draw(expr_trees(depth=depth + 1)), 2)
     if leaf == "pow":
         return power(draw(expr_trees(depth=depth + 1)), draw(st.sampled_from([3, 4, 5, -2])))
+    if leaf == "twin":  # one subtree object used twice
+        t = draw(expr_trees(depth=depth + 1))
+        return draw(st.sampled_from([add, sub, mul, div]))(t, t)
     a = draw(expr_trees(depth=depth + 1))
     b = draw(expr_trees(depth=depth + 1))
     return {"add": add, "sub": sub, "mul": mul, "div": div}[leaf](a, b)
@@ -229,6 +247,62 @@ def test_print_parse_round_trip(tree):
     src = to_source(tree, XYZ)
     back = parse_expression(src, XYZ)
     assert back == tree
+
+
+# ---------------------------------------------------------------------------
+# the tape
+
+
+@given(
+    expr_trees(),
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    st.lists(st.sampled_from([0.0, 1e-3, 0.1, 0.5]), min_size=3, max_size=3),
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_tape_kernels_nest(tree, center, radii, fractions):
+    # mpmath value at points of the box <= interval kernel <= endpoint arrays
+    box = IntervalBox.from_center_radii(center, radii).parts
+    tape = Tape([tree], 3)
+    try:
+        out = tape.run(INTERVAL, box)[0]
+    except IntervalDomainError:
+        return
+    with mpmath.workdps(60):
+        for f in fractions:
+            p = [min(max(b.lo + t * (b.hi - b.lo), b.lo), b.hi) for b, t in zip(box, f)]
+            val = _mp_eval(tree, [mpmath.mpf(x) for x in p])
+            slack = mpmath.mpf("1e-40")
+            assert mpmath.mpf(out.lo) - slack <= val <= mpmath.mpf(out.hi) + slack
+    pairs = []
+    for b in box:
+        lo = np.array([b.lo])
+        pairs.append((lo, lo) if b.lo == b.hi else (lo, np.array([b.hi])))
+    lo, hi = (np.broadcast_to(v, (1,))[0] for v in tape.run(ENDS, pairs)[0])
+    if np.isnan(lo) or np.isnan(hi):
+        # stepped one ulp out, an array lane can reach a domain edge the
+        # scalar kernel stays on (sqrt(-sqrt(0)) takes sqrt of [-5e-324, -0.0]);
+        # it is then undefined on both ends, and every claim on it fails
+        assert np.isnan(lo) and np.isnan(hi)
+    else:
+        assert lo <= out.lo and out.hi <= hi
+
+
+def test_tape_emits_a_shared_node_once():
+    t = parse_expression(TORUS, XYZ)
+    assert len(Tape([mul(t, t)], 3).code) == len(Tape([t], 3).code) + 1
+    # equal but separate nodes keep their own slots: -0.0 stays -0.0
+    values = Tape([Const(0.0), Const(-0.0)], 0).run(POINT, [])
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+
+
+def test_chain_at_the_depth_bound_differentiates():
+    # x/x/.../x with 301 factors is x^-299, a tree of depth 300; its
+    # derivative is about three times deeper, which the tape compiles
+    e = parse_expression("/".join(["x"] * 301), XYZ)
+    assert Tape([e.derivative(0)], 3).run(POINT, [1.0, 0.0, 0.0]) == [-299.0]
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expression("/".join(["x"] * 302), XYZ)
 
 
 # ---------------------------------------------------------------------------
